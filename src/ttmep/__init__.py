@@ -1,98 +1,27 @@
 """Tensor-train subspace solver for multiparameter eigenvalue problems."""
 
-from .dense_kernels import (
-    GeneralizedEigenResult,
-    SingularPencilError,
-    generalized_eig,
-    principal_cosine,
-    select_ritz,
-    svd,
-)
-from .delta_builder import (
-    apply_shift,
-    build_delta0,
-    build_delta_i,
-    deflated_delta0,
-    determinant_factor,
-)
 from .mep_problem import (
     EigenTuple,
-    GeneratedProblem,
     MEProblem,
-    duplicate_check,
     generate_random_mep,
-    left_eigenvector_tuple,
     load_problem,
     oracle_eigenvalues,
-    residual_tuple,
     save_problem,
-    tensor_rayleigh_quotient,
-    trqi_refine,
 )
-from .solver import SolverConfig, SweepState, rank_one_factor, solve
-from .tt_core import (
-    BlockTT,
-    CapExceededError,
-    FrameContext,
-    RankCapError,
-    TTOperator,
-    TTVector,
-    densify,
-    densify_operator,
-    evaluate,
-    evaluate_operator,
-    frame_apply,
-    frame_project,
-    shift_block_core,
-    tt_matvec,
-    tt_round,
-    tt_round_operator,
-)
+from .solver import SolverConfig, solve
+from .tt_core import TTOperator, TTVector
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockTT",
-    "CapExceededError",
     "EigenTuple",
-    "FrameContext",
-    "GeneralizedEigenResult",
-    "GeneratedProblem",
     "MEProblem",
-    "RankCapError",
-    "SingularPencilError",
     "SolverConfig",
-    "SweepState",
     "TTOperator",
     "TTVector",
-    "apply_shift",
-    "build_delta0",
-    "build_delta_i",
-    "densify",
-    "densify_operator",
-    "deflated_delta0",
-    "determinant_factor",
-    "duplicate_check",
-    "evaluate",
-    "evaluate_operator",
-    "frame_apply",
-    "frame_project",
-    "generalized_eig",
     "generate_random_mep",
-    "left_eigenvector_tuple",
     "load_problem",
     "oracle_eigenvalues",
-    "principal_cosine",
-    "rank_one_factor",
-    "residual_tuple",
     "save_problem",
-    "select_ritz",
-    "shift_block_core",
     "solve",
-    "svd",
-    "tensor_rayleigh_quotient",
-    "trqi_refine",
-    "tt_matvec",
-    "tt_round",
-    "tt_round_operator",
 ]

@@ -8,8 +8,9 @@ sidecar), ``oracle`` (brute-force enumeration of the exact tuples),
 rounding).
 
 Exit codes: 0 success (an empty found list is success), 2 validation
-error, 3 numerical failure, 4 resource-cap refusal. Heavy imports happen
-after argument parsing so ``--threads`` can cap the BLAS pools.
+error, 3 numerical failure, 4 resource-cap refusal. BLAS threads are set
+through the usual environment variables (``OPENBLAS_NUM_THREADS`` and the
+like) before the process starts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -27,9 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttmep",
         description="Tensor-train subspace solver for multiparameter eigenvalue problems",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, help="upper bound on BLAS threads"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -321,13 +318,7 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error("--threads must be positive")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+    args = _build_parser().parse_args(argv)
     handlers = {
         "generate": cmd_generate,
         "solve": cmd_solve,
@@ -339,11 +330,11 @@ def main(argv=None) -> int:
 
     from .dense_kernels import SingularPencilError
     from .mep_problem import SingularRayleighError
-    from .tt_core import CapExceededError, RankCapError
+    from .tt_core import CapExceededError
 
     try:
         return handlers[args.command](args)
-    except (CapExceededError, RankCapError) as exc:
+    except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
     except (LinAlgError, SingularPencilError, SingularRayleighError, ArithmeticError) as exc:

@@ -16,17 +16,7 @@ from math import comb
 import numpy as np
 
 from .mep_problem import MEProblem
-from .tt_core import (
-    RankCapError,
-    TTOperator,
-    TTVector,
-    tt_matvec,
-    tt_op_add,
-    tt_op_outer,
-    tt_op_scale,
-    tt_round_operator,
-    rank_one_bilinear,
-)
+from .tt_core import TTOperator, tt_round_operator
 
 
 def determinant_factor(k: int, n: int, a: np.ndarray) -> np.ndarray:
@@ -128,45 +118,3 @@ def shift_generated(g, eta: float):
         seed=g.seed,
         style=g.style,
     )
-
-
-def deflated_delta0(
-    delta0: TTOperator,
-    delta_m: TTOperator,
-    pairs,
-    rank_cap: int = 64,
-    round_tol: float | None = None,
-) -> TTOperator:
-    """Shift already-found eigenvalues to infinity by a rank correction.
-
-    For found right/left rank-one tuples (x^p, y^p) subtracts
-    sum_p D0 x^p (y^p)^T Dm / ((y^p)^T Dm x^p) from D0. The correction has
-    interior ranks r_i + q * (r_i^D0)(r_i^Dm), which grows far too fast for
-    practical sweeping; the construction refuses with ``RankCapError`` once
-    any interior rank would exceed ``rank_cap``. Kept as a non-default
-    experiment only -- the solver never calls it.
-    """
-    out = delta0
-    for x_vectors, y_vectors in pairs:
-        x_tt = TTVector([np.asarray(v, dtype=float).reshape(1, -1, 1) for v in x_vectors])
-        y_tt = TTVector([np.asarray(v, dtype=float).reshape(1, -1, 1) for v in y_vectors])
-        denom = rank_one_bilinear([np.conj(v) for v in y_vectors], delta_m, x_vectors)
-        if abs(denom) < 1e-300:
-            raise ZeroDivisionError("vanishing y^T Dm x normalization")
-        col = tt_matvec(delta0, x_tt)  # D0 x, ranks r^D0
-        row = tt_matvec(_transpose_op(delta_m), y_tt)  # Dm^T y, ranks r^Dm
-        corr = tt_op_scale(tt_op_outer(col, row), -1.0 / float(np.real(denom)))
-        out = tt_op_add(out, corr)
-        worst = max(out.ranks[1:-1], default=1)
-        if worst > rank_cap:
-            raise RankCapError(
-                f"deflated operator interior rank {worst} exceeds cap {rank_cap}; "
-                "rank grows as r_i + q*(r_i^D)^2 and defeats the format"
-            )
-    if round_tol is not None:
-        out = tt_round_operator(out, round_tol)
-    return out
-
-
-def _transpose_op(a: TTOperator) -> TTOperator:
-    return TTOperator([g.transpose(0, 2, 1, 3).copy() for g in a.cores])

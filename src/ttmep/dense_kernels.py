@@ -1,6 +1,6 @@
 """Dense linear-algebra contracts shared by the other modules.
 
-Thin, verified wrappers around LAPACK (through numpy/scipy): SVD, a full
+Thin, verified wrappers around LAPACK (through numpy/scipy): a full
 nonsymmetric generalized eigensolver in the (alpha, beta) parametrization
 with explicit handling of infinite eigenvalues, the deterministic Ritz-value
 selection rule, and the principal angle between two vectors.
@@ -21,21 +21,12 @@ class SingularPencilError(RuntimeError):
 RITZ_RULES = ("positive-real-part", "positive-imag-part")
 
 
-def svd(a: np.ndarray):
-    """Full SVD with descending singular values; returns (U, S, V), A = U S V^T."""
-    a = np.asarray(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in SVD input")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, np.conj(vh.T)
-
-
 @dataclass
 class GeneralizedEigenResult:
     """Full spectrum of a pencil (M, N) in homogeneous (alpha, beta) form.
 
     ``eigenvalues`` holds alpha/beta where finite and complex infinity where
-    ``finite`` is False; ``right``/``left`` hold eigenvectors columnwise.
+    ``finite`` is False; ``right`` holds the eigenvectors columnwise.
     """
 
     alpha: np.ndarray
@@ -43,7 +34,6 @@ class GeneralizedEigenResult:
     eigenvalues: np.ndarray
     finite: np.ndarray
     right: np.ndarray
-    left: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -53,7 +43,6 @@ class GeneralizedEigenResult:
 def generalized_eig(
     m: np.ndarray,
     n: np.ndarray,
-    want_left: bool = False,
     beta_floor: float = 1e-14,
 ) -> GeneralizedEigenResult:
     """Full QZ-style solve of the pencil (M, N).
@@ -68,14 +57,9 @@ def generalized_eig(
         raise ValueError("pencil matrices must be square and of equal size")
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(n))):
         raise ValueError("non-finite entries in pencil")
-    out = sla.eig(
-        m, n, left=want_left, right=True, homogeneous_eigvals=True, check_finite=False
+    (alpha, beta), vr = sla.eig(
+        m, n, right=True, homogeneous_eigvals=True, check_finite=False
     )
-    if want_left:
-        (alpha, beta), vl, vr = out
-    else:
-        (alpha, beta), vr = out
-        vl = None
     scale_m = max(float(np.linalg.norm(m)), np.finfo(float).tiny)
     scale_n = max(float(np.linalg.norm(n)), np.finfo(float).tiny)
     finite = np.abs(beta) > beta_floor * scale_n
@@ -87,7 +71,7 @@ def generalized_eig(
     lam = np.full(alpha.shape, complex(np.inf), dtype=complex)
     lam[finite] = alpha[finite] / beta[finite]
     return GeneralizedEigenResult(
-        alpha=alpha, beta=beta, eigenvalues=lam, finite=finite, right=vr, left=vl
+        alpha=alpha, beta=beta, eigenvalues=lam, finite=finite, right=vr
     )
 
 

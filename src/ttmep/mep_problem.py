@@ -41,9 +41,13 @@ class MEProblem:
             n = self.a[i].shape[0]
             if self.a[i].shape != (n, n):
                 raise ValueError(f"A_{i + 1} is not square")
+            if not np.all(np.isfinite(self.a[i])):
+                raise ValueError(f"A_{i + 1} has non-finite entries")
             for j in range(m):
                 if self.b[i][j].shape != (n, n):
                     raise ValueError(f"B_{i + 1}{j + 1} does not match A_{i + 1}")
+                if not np.all(np.isfinite(self.b[i][j])):
+                    raise ValueError(f"B_{i + 1}{j + 1} has non-finite entries")
 
     @property
     def m(self) -> int:

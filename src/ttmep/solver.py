@@ -36,7 +36,6 @@ from .tt_core import (
     env_apply,
     env_left_step,
     env_right_step,
-    frame_apply,
     frame_project,
     shift_block_core,
 )
@@ -63,7 +62,6 @@ class SolverConfig:
     projected_dim_cap: int = 10_000
     trqi_max_iter: int = 10
     trqi_tol: float = 1e-10
-    explicit_operand: str = "delta0"  # which projection is formed explicitly
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -72,8 +70,6 @@ class SolverConfig:
             raise ValueError("max rank must be at least the block size")
         if not 0 < self.cos_threshold <= 1:
             raise ValueError("cosine threshold must lie in (0, 1]")
-        if self.explicit_operand not in ("delta0", "deltam"):
-            raise ValueError("explicit operand must be 'delta0' or 'deltam'")
         for name in ("eps", "eps1", "xi"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -301,9 +297,9 @@ def check_convergence(
     block mode in the reverse direction. Any projected residual at or above
     eps1 aborts the walk. With estimates for every mode collected, the
     tuple (one factor per mode) is refined by Rayleigh quotient iteration,
-    tested against the full residual tolerance eps, screened for duplicates
-    at xi, and inserted into the found list only while among the
-    ``keep_found`` closest to the target.
+    tested against the full residual tolerance eps, dropped unless among the
+    ``keep_found`` closest to the target, screened for duplicates at xi,
+    and inserted into the found list.
     """
     cores = state.x.cores
     m = len(cores)
@@ -338,12 +334,12 @@ def check_convergence(
     cand = trqi_refine(prob, cand, config.trqi_max_iter, config.trqi_tol)
     if not np.isfinite(cand.residual_norm) or cand.residual_norm >= config.eps:
         return _WalkResult(first_hop, transported_middle, False, False, cand)
-    accept, _ratio = duplicate_check(cand.vectors, state.found, delta_0, config.xi)
-    if not accept:
-        return _WalkResult(first_hop, transported_middle, True, False, cand)
     keep = config.resolved_keep
     key = abs(cand.lam[-1])
     if len(state.found) >= keep and key >= max(abs(t.lam[-1]) for t in state.found):
+        return _WalkResult(first_hop, transported_middle, True, False, cand)
+    accept, _ratio = duplicate_check(cand.vectors, state.found, delta_0, config.xi)
+    if not accept:
         return _WalkResult(first_hop, transported_middle, True, False, cand)
     cand.left_vectors = left_eigenvector_tuple(
         prob, cand, max_iter=config.trqi_max_iter, tol=config.trqi_tol
@@ -478,27 +474,22 @@ def sweep_step(
     dim = frame.local_dim
     t_start = time.perf_counter()
 
-    envs_m = (state.env_m.left[k], state.env_m.right[k])
-    envs_0 = (state.env_0.left[k], state.env_0.right[k])
     t0 = time.perf_counter()
-    if config.explicit_operand == "delta0":
-        p_explicit = frame_project(
-            frame, delta_0, envs=envs_0, dim_cap=config.projected_dim_cap
-        )
-    else:
-        p_explicit = frame_project(
-            frame, delta_m, envs=envs_m, dim_cap=config.projected_dim_cap
-        )
+    pm = frame_project(
+        frame,
+        delta_m,
+        envs=(state.env_m.left[k], state.env_m.right[k]),
+        dim_cap=config.projected_dim_cap,
+    )
+    p0 = frame_project(
+        frame,
+        delta_0,
+        envs=(state.env_0.left[k], state.env_0.right[k]),
+        dim_cap=config.projected_dim_cap,
+    )
     t_proj = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    eye = np.eye(dim)
-    if config.explicit_operand == "delta0":
-        p0 = p_explicit
-        pm = frame_apply(frame, delta_m, eye, envs=envs_m)
-    else:
-        pm = p_explicit
-        p0 = frame_apply(frame, delta_0, eye, envs=envs_0)
     q = len(state.found)
     geig = generalized_eig(pm, p0)
     indices, _ = select_ritz(geig, 2 * b + q, config.ritz_rule)
@@ -646,6 +637,7 @@ def solve(
             {
                 "lambda": [[float(v.real), float(v.imag)] for v in t.lam],
                 "residual": t.residual_norm,
+                "flags": list(t.flags),
                 "vectors_ref": i,
             }
             for i, t in enumerate(final)

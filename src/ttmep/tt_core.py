@@ -32,10 +32,6 @@ class CapExceededError(RuntimeError):
     """Raised when an operation would materialize more data than allowed."""
 
 
-class RankCapError(RuntimeError):
-    """Raised when a construction would exceed a hard rank cap."""
-
-
 def _as_tuple(xs) -> tuple[int, ...]:
     return tuple(int(x) for x in xs)
 
@@ -321,76 +317,12 @@ def tt_matvec(a: TTOperator, v: TTVector) -> TTVector:
     return TTVector(cores)
 
 
-def tt_inner(y: TTVector, x: TTVector) -> float | complex:
-    """Inner product <y, x> (conjugate-linear in y)."""
-    if y.mode_sizes != x.mode_sizes:
-        raise ValueError("mode mismatch")
-    acc = np.einsum("aib,aic->bc", np.conj(y.cores[0]), x.cores[0])
-    for gy, gx in zip(y.cores[1:], x.cores[1:]):
-        acc = np.einsum("bc,bid,cie->de", acc, np.conj(gy), gx, optimize=True)
-    return acc[0, 0]
-
-
-def tt_bilinear(y: TTVector, a: TTOperator, x: TTVector) -> float | complex:
-    """Sesquilinear form y^H A x evaluated by core contraction."""
-    if not (y.mode_sizes == a.mode_sizes == x.mode_sizes):
-        raise ValueError("mode mismatch")
-    env = np.ones((1, 1, 1))
-    for gy, ga, gx in zip(y.cores, a.cores, x.cores):
-        env = env_left_step(env, gy, ga, gx)
-    return env[0, 0, 0]
-
-
 def rank_one_bilinear(y_vectors, a: TTOperator, x_vectors) -> float | complex:
     """y^H A x for rank-one tuples given by their per-mode vectors."""
     acc = np.ones((1, 1))
     for yk, gk, xk in zip(y_vectors, a.cores, x_vectors):
         acc = acc @ np.einsum("i,aijb,j->ab", np.conj(yk), gk, xk, optimize=True)
     return acc[0, 0]
-
-
-def tt_op_add(a: TTOperator, b: TTOperator) -> TTOperator:
-    """Sum of two operators; interior ranks add."""
-    if a.mode_sizes != b.mode_sizes:
-        raise ValueError("mode mismatch")
-    m = a.order
-    cores = []
-    for k in range(m):
-        ga, gb = a.cores[k], b.cores[k]
-        if m == 1:
-            cores.append(ga + gb)
-            continue
-        ra0, n, _, ra1 = ga.shape
-        rb0, _, _, rb1 = gb.shape
-        if k == 0:
-            h = np.concatenate([ga, gb], axis=3)
-        elif k == m - 1:
-            h = np.concatenate([ga, gb], axis=0)
-        else:
-            h = np.zeros((ra0 + rb0, n, n, ra1 + rb1), dtype=np.result_type(ga, gb))
-            h[:ra0, :, :, :ra1] = ga
-            h[ra0:, :, :, ra1:] = gb
-        cores.append(h)
-    return TTOperator(cores)
-
-
-def tt_op_scale(a: TTOperator, alpha: float) -> TTOperator:
-    cores = [g.copy() for g in a.cores]
-    cores[0] = cores[0] * alpha
-    return TTOperator(cores)
-
-
-def tt_op_outer(u: TTVector, v: TTVector) -> TTOperator:
-    """Rank-product operator u v^T from two trains (no conjugation)."""
-    if u.mode_sizes != v.mode_sizes:
-        raise ValueError("mode mismatch")
-    cores = []
-    for gu, gv in zip(u.cores, v.cores):
-        a0, n, a1 = gu.shape
-        c0, _, c1 = gv.shape
-        h = np.einsum("aib,cjd->acijbd", gu, gv, optimize=True)
-        cores.append(h.reshape(a0 * c0, n, n, a1 * c1))
-    return TTOperator(cores)
 
 
 # ---------------------------------------------------------------------------
@@ -562,15 +494,6 @@ def env_right_step(env, bra, op, ket):
     )
 
 
-def left_environments(frame: FrameContext, a: TTOperator) -> list[np.ndarray]:
-    """L[p] for p = 0..index; L[p] contracts cores 0..p-1."""
-    envs = [np.ones((1, 1, 1))]
-    for p in range(frame.index):
-        g = frame.cores[p]
-        envs.append(env_left_step(envs[-1], g, a.cores[p], g))
-    return envs
-
-
 class FrameEnvCache:
     """Left/right environments of a sweep frame against one operator.
 
@@ -611,64 +534,25 @@ class FrameEnvCache:
             raise ValueError("block moves one mode at a time")
 
 
-def right_environments(frame: FrameContext, a: TTOperator) -> list[np.ndarray]:
-    """R[p] for p = index..m-1 (indexed from frame.index); R[p] contracts cores p+1..m-1."""
-    m = frame.order
-    envs = [np.ones((1, 1, 1))]
-    for p in range(m - 1, frame.index, -1):
-        g = frame.cores[p]
-        envs.append(env_right_step(envs[-1], g, a.cores[p], g))
-    envs.reverse()
-    return envs
-
-
-def _frame_envs(frame: FrameContext, a: TTOperator, envs=None):
-    if envs is not None:
-        return envs
-    left = left_environments(frame, a)[-1]
-    right = right_environments(frame, a)[0]
-    return left, right
-
-
 def env_apply(left, op_core, right, y: np.ndarray) -> np.ndarray:
     """(L * A_k * R) y with y given as the (r_l, n, r_r) coefficient tensor."""
     return np.einsum("xay,aijc,ucv,yjv->xiu", left, op_core, right, y, optimize=True)
 
 
-def frame_apply(frame: FrameContext, a: TTOperator, y: np.ndarray, envs=None) -> np.ndarray:
-    """Projected matrix-vector product X_frame^H A X_frame y.
-
-    ``y`` may be a vector of length local_dim or a matrix with such columns;
-    the frame itself is never materialized.
-    """
-    if a.mode_sizes != _as_tuple(g.shape[1] for g in frame.cores):
-        raise ValueError("mode mismatch between frame and operator")
-    left, right = _frame_envs(frame, a, envs)
-    rl, n, rr = left.shape[2], frame.cores[frame.index].shape[1], right.shape[2]
-    dim = rl * n * rr
-    y = np.asarray(y)
-    batched = y.ndim == 2
-    if y.shape[0] != dim:
-        raise ValueError(f"expected leading dimension {dim}, got {y.shape[0]}")
-    cols = y.shape[1] if batched else 1
-    yt = y.reshape(rl, n, rr, cols)
-    z = np.einsum(
-        "xay,aijc,ucv,yjvB->xiuB", left, a.cores[frame.index], right, yt, optimize=True
-    )
-    z = z.reshape(dim, cols)
-    return z if batched else z[:, 0]
-
-
 def frame_project(
-    frame: FrameContext, a: TTOperator, envs=None, dim_cap: int = 10_000
+    frame: FrameContext, a: TTOperator, envs, dim_cap: int = 10_000
 ) -> np.ndarray:
-    """Explicit projected matrix X_frame^H A X_frame."""
+    """Explicit projected matrix X_frame^H A X_frame.
+
+    ``envs`` is the (left, right) environment pair of ``a`` at the open
+    position, as kept by a ``FrameEnvCache``.
+    """
     if a.mode_sizes != _as_tuple(g.shape[1] for g in frame.cores):
         raise ValueError("mode mismatch between frame and operator")
     dim = frame.local_dim
     if dim > dim_cap:
         raise CapExceededError(f"projected dimension {dim} exceeds cap {dim_cap}")
-    left, right = _frame_envs(frame, a, envs)
+    left, right = envs
     mat = np.einsum(
         "xay,aijc,ucv->xiuyjv", left, a.cores[frame.index], right, optimize=True
     )

@@ -67,6 +67,7 @@ def test_solve_writes_report_csv_and_sidecar(tmp_path, small_problem):
     assert report["config"]["sweeps"] == 6
     rows = list(csv.DictReader(open(tmp_path / "run.csv")))
     assert len(rows) == len(report["tuples"])
+    assert all(isinstance(t["flags"], list) for t in report["tuples"])
     assert set(rows[0]) == {
         "rank_index",
         "lambda_m_real",
@@ -313,6 +314,16 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_threads_flag_validated():
-    with pytest.raises(SystemExit):
-        main(["--threads", "0", "generate", "--m", "2", "--n", "2", "--out", "x.json"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solve_non_finite_problem_exits_2(tmp_path, bad):
+    g = generate_random_mep(2, 3, seed=0)
+    g.problem.a[0][1, 2] = bad
+    doc = {
+        "m": 2,
+        "sizes": [3, 3],
+        "A": [mat.tolist() for mat in g.problem.a],
+        "B": [[mat.tolist() for mat in row] for row in g.problem.b],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2

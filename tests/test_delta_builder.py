@@ -10,23 +10,15 @@ from ttmep.delta_builder import (
     apply_shift,
     build_delta0,
     build_delta_i,
-    deflated_delta0,
     determinant_factor,
 )
 from ttmep.mep_problem import (
     GeneratedProblem,
     MEProblem,
     generate_random_mep,
-    left_eigenvector_tuple,
     oracle_eigenvalues,
 )
-from ttmep.tt_core import (
-    RankCapError,
-    densify,
-    densify_operator,
-    tt_matvec,
-    TTVector,
-)
+from ttmep.tt_core import densify_operator
 
 
 def factor_product(a: np.ndarray) -> float:
@@ -211,30 +203,6 @@ def test_shift_then_solve_equivalence_through_oracle():
         for v_s, v_o in zip(t_s.vectors, t_o.vectors):
             cos = abs(np.vdot(v_s, v_o))
             assert cos >= 1 - 1e-10
-
-
-def test_deflation_rank_growth_and_cap():
-    g = generate_random_mep(3, 3, seed=9)
-    p = g.problem
-    d0 = build_delta0(p, round_tol=None)
-    dm = build_delta_i(p, 3, round_tol=None)
-    tuples, _ = oracle_eigenvalues(g, 2, target=0.0)
-    pairs = []
-    for t in tuples:
-        y = left_eigenvector_tuple(p, t)
-        pairs.append(([v.real for v in t.vectors], [v.real for v in y]))
-    deflated = deflated_delta0(d0, dm, pairs[:1], rank_cap=100)
-    r0 = d0.ranks
-    rm = dm.ranks
-    for k in range(1, 3):
-        assert deflated.ranks[k] == r0[k] + r0[k] * rm[k]
-    # the deflated operator annihilates the found eigenvector
-    x = TTVector([np.asarray(v).reshape(1, -1, 1) for v in pairs[0][0]])
-    out = densify(tt_matvec(deflated, x))
-    base = densify(tt_matvec(d0, x))
-    assert np.linalg.norm(out) <= 1e-8 * max(1.0, np.linalg.norm(base))
-    with pytest.raises(RankCapError):
-        deflated_delta0(d0, dm, pairs, rank_cap=15)
 
 
 def test_build_delta_validates_index():

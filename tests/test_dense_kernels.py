@@ -9,46 +9,10 @@ from ttmep.dense_kernels import (
     generalized_eig,
     principal_cosine,
     select_ritz,
-    svd,
 )
 from ttmep.delta_builder import build_delta0, build_delta_i
 from ttmep.mep_problem import generate_random_mep, oracle_eigenvalues
 from ttmep.tt_core import densify_operator
-
-
-def test_svd_identity():
-    _, s, _ = svd(np.eye(5))
-    assert np.allclose(s, np.ones(5))
-
-
-def test_svd_rank_one_outer_product():
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(6)
-    v = rng.standard_normal(4)
-    _, s, _ = svd(np.outer(u, v))
-    assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
-    assert np.all(s[1:] <= 1e-12 * s[0])
-
-
-def test_svd_reconstruction_and_ordering():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((7, 5))
-    u, s, v = svd(a)
-    assert np.all(np.diff(s) <= 0)
-    assert np.linalg.norm(u @ np.diag(s) @ v.T - a) <= 1e-12 * np.linalg.norm(a)
-
-
-def test_svd_reconstruction_larger():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((300, 200))
-    u, s, v = svd(a)
-    assert np.linalg.norm(u @ np.diag(s) @ v.T - a) <= 1e-12 * np.linalg.norm(a)
-
-
-def test_svd_rejects_non_finite():
-    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        svd(bad)
 
 
 def test_generalized_eig_diagonal():
@@ -75,20 +39,6 @@ def test_generalized_eig_residuals():
         lam = res.eigenvalues[i]
         x = res.right[:, i]
         assert np.linalg.norm(m @ x - lam * (n @ x)) <= 1e-10 * scale * (1 + abs(lam))
-
-
-def test_generalized_eig_left_vectors():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((8, 8))
-    n = rng.standard_normal((8, 8)) + 4 * np.eye(8)
-    res = generalized_eig(m, n, want_left=True)
-    assert res.left is not None
-    for i in np.nonzero(res.finite)[0]:
-        lam = res.eigenvalues[i]
-        y = res.left[:, i]
-        lhs = np.conj(y) @ m
-        rhs = lam * (np.conj(y) @ n)
-        assert np.linalg.norm(lhs - rhs) <= 1e-9 * (np.linalg.norm(m) + abs(lam) * np.linalg.norm(n))
 
 
 def test_generalized_eig_singular_pencil():

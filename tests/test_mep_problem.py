@@ -397,3 +397,17 @@ def test_problem_json_detects_tampering(tmp_path):
     doc["A"][0][0][0] += 1.0
     with pytest.raises(ValueError):
         problem_from_json(doc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_matrices(bad):
+    g = generate_random_mep(2, 3, seed=28)
+    a = [mat.copy() for mat in g.problem.a]
+    b = [[mat.copy() for mat in row] for row in g.problem.b]
+    a[1][0, 2] = bad
+    with pytest.raises(ValueError, match="A_2"):
+        MEProblem(a=a, b=b)
+    a[1][0, 2] = 0.0
+    b[0][1][2, 2] = bad
+    with pytest.raises(ValueError, match="B_12"):
+        MEProblem(a=a, b=b)

@@ -487,19 +487,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(block_size=3, max_rank=2)
     with pytest.raises(ValueError):
-        SolverConfig(ritz_rule="positive-real-part", explicit_operand="bogus")
-    with pytest.raises(ValueError):
         SolverConfig(cos_threshold=1.5)
-
-
-def test_solve_explicit_operand_swap_agrees():
-    g = generate_random_mep(2, 4, seed=23)
-    work, _, _ = shifted_positive(g)
-    cfg_a = SolverConfig(block_size=2, sweeps=4, seed=5, explicit_operand="delta0")
-    cfg_b = SolverConfig(block_size=2, sweeps=4, seed=5, explicit_operand="deltam")
-    ta, _ = solve(work, target=0.0, config=cfg_a)
-    tb, _ = solve(work, target=0.0, config=cfg_b)
-    la = sorted(t.lam[-1].real for t in ta)
-    lb = sorted(t.lam[-1].real for t in tb)
-    for a, b in zip(la, lb):
-        assert abs(a - b) <= 1e-7

@@ -9,6 +9,7 @@ from ttmep.tt_core import (
     BlockTT,
     CapExceededError,
     FrameContext,
+    FrameEnvCache,
     TTOperator,
     TTVector,
     absorb_transfer_left,
@@ -19,8 +20,8 @@ from ttmep.tt_core import (
     densify_operator,
     evaluate,
     evaluate_operator,
+    env_apply,
     feasible_ranks,
-    frame_apply,
     frame_project,
     identity_operator,
     is_left_orthonormal,
@@ -303,48 +304,34 @@ def test_frame_gram_identity():
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 
-def test_frame_apply_identity_operator():
-    rng = np.random.default_rng(15)
-    x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    frame = FrameContext.from_block(x)
-    y = rng.standard_normal(frame.local_dim)
-    z = frame_apply(frame, identity_operator((3, 3, 3)), y)
-    assert np.allclose(z, y, atol=1e-12)
+def _envs(frame, a):
+    cache = FrameEnvCache(a, frame.cores, frame.index)
+    return cache.left[frame.index], cache.right[frame.index]
 
 
-def test_frame_apply_matches_dense():
+def test_frame_project_matches_dense():
     rng = np.random.default_rng(16)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
     frame = FrameContext.from_block(x)
     a = random_operator(rng, (3, 3, 3), (3, 2))
     fd = densify_frame(frame)
     ad = densify_operator(a)
-    y = rng.standard_normal(frame.local_dim)
-    assert np.allclose(frame_apply(frame, a, y), fd.T @ ad @ fd @ y, atol=1e-12)
-
-
-def test_frame_apply_linearity():
-    rng = np.random.default_rng(17)
-    x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    frame = FrameContext.from_block(x)
-    a = random_operator(rng, (3, 3, 3), (2, 2))
-    y = rng.standard_normal(frame.local_dim)
-    z = rng.standard_normal(frame.local_dim)
-    lhs = frame_apply(frame, a, 2.0 * y - 3.0 * z)
-    rhs = 2.0 * frame_apply(frame, a, y) - 3.0 * frame_apply(frame, a, z)
-    assert np.allclose(lhs, rhs, atol=1e-13)
+    p = frame_project(frame, a, envs=_envs(frame, a))
+    assert np.allclose(p, fd.T @ ad @ fd, atol=1e-12)
 
 
 def test_frame_project_identity_and_symmetry():
     rng = np.random.default_rng(18)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
     frame = FrameContext.from_block(x)
-    p = frame_project(frame, identity_operator((3, 3, 3)))
+    eye = identity_operator((3, 3, 3))
+    p = frame_project(frame, eye, envs=_envs(frame, eye))
     assert np.allclose(p, np.eye(frame.local_dim), atol=1e-12)
     sym_cores = []
     for g in random_operator(rng, (3, 3, 3), (2, 2)).cores:
         sym_cores.append(g + g.transpose(0, 2, 1, 3))
-    p2 = frame_project(frame, TTOperator(sym_cores))
+    sym = TTOperator(sym_cores)
+    p2 = frame_project(frame, sym, envs=_envs(frame, sym))
     assert np.abs(p2 - p2.T).max() <= 1e-12
 
 
@@ -353,10 +340,14 @@ def test_frame_project_matches_columnwise_apply():
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
     frame = FrameContext.from_block(x)
     a = random_operator(rng, (3, 3, 3), (3, 3))
-    p = frame_project(frame, a)
+    left, right = _envs(frame, a)
+    p = frame_project(frame, a, envs=(left, right))
+    shape = (left.shape[2], frame.cores[frame.index].shape[1], right.shape[2])
     cols = np.stack(
         [
-            frame_apply(frame, a, np.eye(frame.local_dim)[:, j])
+            env_apply(
+                left, a.cores[frame.index], right, np.eye(frame.local_dim)[:, j].reshape(shape)
+            ).reshape(-1)
             for j in range(frame.local_dim)
         ],
         axis=1,
@@ -368,8 +359,9 @@ def test_frame_project_cap():
     rng = np.random.default_rng(20)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
     frame = FrameContext.from_block(x)
+    eye = identity_operator((3, 3, 3))
     with pytest.raises(CapExceededError):
-        frame_project(frame, identity_operator((3, 3, 3)), dim_cap=5)
+        frame_project(frame, eye, envs=_envs(frame, eye), dim_cap=5)
 
 
 # ---------------------------------------------------------------------------
