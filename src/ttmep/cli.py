@@ -22,6 +22,22 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+from numpy.linalg import LinAlgError
+
+from .delta_builder import shift_generated
+from .dense_kernels import SingularPencilError
+from .mep_problem import (
+    GeneratedProblem,
+    SingularRayleighError,
+    generate_random_mep,
+    load_problem,
+    oracle_eigenvalues,
+    save_problem,
+)
+from .solver import SolverConfig, solve
+from .tt_core import CapExceededError, TTVector, tt_to_json
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -87,8 +103,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args):
-    from .solver import SolverConfig
-
     kw = {}
     mapping = {
         "b": "block_size",
@@ -119,8 +133,6 @@ def _out_base(path: str) -> Path:
 
 
 def cmd_generate(args) -> int:
-    from .mep_problem import generate_random_mep, save_problem
-
     g = generate_random_mep(args.m, args.n, args.seed)
     save_problem(args.out, g)
     print(f"wrote {args.out} (m={args.m}, n={args.n}, seed={args.seed})")
@@ -128,10 +140,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .mep_problem import GeneratedProblem, load_problem
-    from .solver import solve
-    from .tt_core import TTVector, tt_to_json
-
     loaded = load_problem(args.problem)
     prob = loaded.problem if isinstance(loaded, GeneratedProblem) else loaded
     config = _config_from_args(args)
@@ -174,8 +182,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .mep_problem import GeneratedProblem, load_problem, oracle_eigenvalues
-
     loaded = load_problem(args.problem)
     if not isinstance(loaded, GeneratedProblem):
         raise ValueError("oracle needs a problem file with generator metadata")
@@ -240,8 +246,6 @@ def _sampled_lambda_m_min(g, samples: int = 20_000, seed: int = 0) -> float:
     Enough for choosing an exteriorizing shift when full enumeration (n^m
     systems) is out of reach.
     """
-    import numpy as np
-
     m, n = g.m, g.n
     rng = np.random.default_rng(seed)
     count = min(samples, n**m)
@@ -261,9 +265,6 @@ def _sampled_lambda_m_min(g, samples: int = 20_000, seed: int = 0) -> float:
 
 
 def cmd_bench(args) -> int:
-    from .mep_problem import generate_random_mep
-    from .solver import SolverConfig, solve
-
     if args.m_range:
         lo, hi = (int(x) for x in args.m_range.split(":"))
         params = [("m", m, m, args.n) for m in range(lo, hi + 1)]
@@ -271,8 +272,6 @@ def cmd_bench(args) -> int:
         parts = [int(x) for x in args.n_range.split(":")]
         step = parts[2] if len(parts) > 2 else 1
         params = [("n", n, args.m, n) for n in range(parts[0], parts[1] + 1, step)]
-    from .delta_builder import shift_generated
-
     rows = []
     warnings = []
     for label, value, m, n in params:
@@ -326,12 +325,6 @@ def main(argv=None) -> int:
         "compare": cmd_compare,
         "bench": cmd_bench,
     }
-    from numpy.linalg import LinAlgError
-
-    from .dense_kernels import SingularPencilError
-    from .mep_problem import SingularRayleighError
-    from .tt_core import CapExceededError
-
     try:
         return handlers[args.command](args)
     except CapExceededError as exc:

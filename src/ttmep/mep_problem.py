@@ -11,7 +11,7 @@ computation, and the duplicate test used to reject re-found eigenvalues.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,9 @@ class EigenTuple:
     residual_norm: float
     left_vectors: list[np.ndarray] | None = None
     flags: tuple[str, ...] = ()
+    # |y^H D0 x| against the solver's D0, stored when the solver admits the
+    # tuple so the duplicate screen does not recompute it; None elsewhere
+    delta0_den: float | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(cls, prob: MEProblem, lam, vectors, left_vectors=None, flags=()):
@@ -360,6 +363,15 @@ def left_eigenvector_tuple(prob: MEProblem, t: EigenTuple, **refine_kw):
     return [v.copy() for v in refined.vectors]
 
 
+def _unit(vectors) -> list[np.ndarray]:
+    return [v / np.linalg.norm(v) for v in vectors]
+
+
+def screen_denominator(t: EigenTuple, delta0: TTOperator) -> float:
+    """|y^H D0 x| of a tuple with left vectors: the duplicate screen's divisor."""
+    return abs(rank_one_bilinear(_unit(t.left_vectors), delta0, _unit(t.vectors)))
+
+
 def duplicate_check(
     candidate_vectors,
     found: list[EigenTuple],
@@ -369,19 +381,19 @@ def duplicate_check(
     """Accept a candidate tuple iff it is far from every found eigenvector.
 
     Ratio |y_p^H D0 x_hat| / |y_p^H D0 x_p| is evaluated purely from the
-    rank-one tuples and the train form of D0. Returns (accept, worst_ratio);
-    vanishing denominators reject with an infinite ratio.
+    rank-one tuples and the train form of D0; the denominator is taken from
+    ``delta0_den`` where the tuple carries one. Returns (accept,
+    worst_ratio); vanishing denominators reject with an infinite ratio.
     """
-    cand = [np.asarray(v).reshape(-1) for v in candidate_vectors]
-    cand = [v / np.linalg.norm(v) for v in cand]
+    cand = _unit([np.asarray(v).reshape(-1) for v in candidate_vectors])
     worst = 0.0
     for prev in found:
         if prev.left_vectors is None:
             raise ValueError("found tuple lacks left vectors")
-        y = [v / np.linalg.norm(v) for v in prev.left_vectors]
-        x_prev = [v / np.linalg.norm(v) for v in prev.vectors]
-        num = abs(rank_one_bilinear(y, delta0, cand))
-        den = abs(rank_one_bilinear(y, delta0, x_prev))
+        num = abs(rank_one_bilinear(_unit(prev.left_vectors), delta0, cand))
+        den = prev.delta0_den
+        if den is None:
+            den = screen_denominator(prev, delta0)
         if den < 1e-14 * max(1.0, num):
             return False, float("inf")
         worst = max(worst, num / den)

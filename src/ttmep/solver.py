@@ -25,6 +25,7 @@ from .mep_problem import (
     SingularRayleighError,
     duplicate_check,
     left_eigenvector_tuple,
+    screen_denominator,
     tensor_rayleigh_quotient,
     trqi_refine,
 )
@@ -124,6 +125,7 @@ class _Candidate:
 @dataclass
 class _WalkResult:
     first_hop: float
+    middle: np.ndarray  # rank-one middle factor at the block mode
     transported_middle: np.ndarray | None
     converged: bool
     admitted: bool
@@ -147,7 +149,8 @@ def rank_one_factor(tensor: np.ndarray, refine_passes: int = 5):
     rl, n, rr = t.shape
     if np.linalg.norm(t) == 0:
         raise ValueError("zero tensor has no rank-one factor")
-    u, s, vh = np.linalg.svd(t.reshape(rl, n * rr), full_matrices=False)
+    tm = t.reshape(rl, n * rr)
+    u, s, vh = np.linalg.svd(tm, full_matrices=False)
     a = u[:, 0]
     rest = (s[0] * vh[0]).reshape(n, rr)
     u2, s2, vh2 = np.linalg.svd(rest, full_matrices=False)
@@ -156,28 +159,28 @@ def rank_one_factor(tensor: np.ndarray, refine_passes: int = 5):
     scale = s2[0]
 
     def err(scale_, a_, mid_, c_):
-        approx = scale_ * np.einsum("a,i,b->aib", a_, mid_, c_)
-        return np.linalg.norm(t - approx)
+        return np.linalg.norm(tm - scale_ * np.outer(a_, np.outer(mid_, c_).ravel()))
 
     best = (scale, a, mid, c)
-    best_err = err(*[best[0], best[1], best[2], best[3]])
+    best_err = err(*best)
     for _ in range(refine_passes):
-        a_new = np.einsum("aib,i,b->a", t, np.conj(mid), np.conj(c), optimize=True)
+        a_new = tm @ np.outer(np.conj(mid), np.conj(c)).ravel()
         na = np.linalg.norm(a_new)
         if na == 0:
             break
         a = a_new / na
-        m_new = np.einsum("aib,a,b->i", t, np.conj(a), np.conj(c), optimize=True)
+        ta = (np.conj(a) @ tm).reshape(n, rr)
+        m_new = ta @ np.conj(c)
         nm = np.linalg.norm(m_new)
         if nm == 0:
             break
         mid = m_new / nm
-        c_new = np.einsum("aib,a,i->b", t, np.conj(a), np.conj(mid), optimize=True)
+        c_new = np.conj(mid) @ ta
         nc = np.linalg.norm(c_new)
         if nc == 0:
             break
         c = c_new / nc
-        scale = complex(np.einsum("aib,a,i,b->", t, np.conj(a), np.conj(mid), np.conj(c), optimize=True))
+        scale = complex(c_new @ np.conj(c))
         e = err(scale, a, mid, c)
         if e < best_err - 1e-15:
             best, best_err = (scale, a, mid, c), e
@@ -306,7 +309,8 @@ def check_convergence(
     k = state.x.block_index
     coeff = np.asarray(coeff)
     coeff = coeff / np.linalg.norm(coeff)
-    estimates: dict[int, np.ndarray] = {k: rank_one_factor(coeff)[1]}
+    middle = rank_one_factor(coeff)[1]
+    estimates: dict[int, np.ndarray] = {k: middle}
     first_hop = np.inf
     transported_middle = None
     aborted = False
@@ -317,38 +321,41 @@ def check_convergence(
             if transported_middle is None:
                 first_hop = res
                 transported_middle = rank_one_factor(walker.v)[1]
+                estimates[walker.pos] = transported_middle
+            elif res < config.eps1:
+                estimates[walker.pos] = rank_one_factor(walker.v)[1]
             if res >= config.eps1:
                 aborted = True
                 break
-            estimates[walker.pos] = rank_one_factor(walker.v)[1]
         if aborted:
             break
     if aborted or len(estimates) < m:
-        return _WalkResult(first_hop, transported_middle, False, False, None)
+        return _WalkResult(first_hop, middle, transported_middle, False, False, None)
     vectors = [estimates[p] for p in range(m)]
     try:
         lam = tensor_rayleigh_quotient(prob, vectors)
     except SingularRayleighError:
-        return _WalkResult(first_hop, transported_middle, False, False, None)
+        return _WalkResult(first_hop, middle, transported_middle, False, False, None)
     cand = EigenTuple.build(prob, lam, vectors)
     cand = trqi_refine(prob, cand, config.trqi_max_iter, config.trqi_tol)
     if not np.isfinite(cand.residual_norm) or cand.residual_norm >= config.eps:
-        return _WalkResult(first_hop, transported_middle, False, False, cand)
+        return _WalkResult(first_hop, middle, transported_middle, False, False, cand)
     keep = config.resolved_keep
     key = abs(cand.lam[-1])
     if len(state.found) >= keep and key >= max(abs(t.lam[-1]) for t in state.found):
-        return _WalkResult(first_hop, transported_middle, True, False, cand)
+        return _WalkResult(first_hop, middle, transported_middle, True, False, cand)
     accept, _ratio = duplicate_check(cand.vectors, state.found, delta_0, config.xi)
     if not accept:
-        return _WalkResult(first_hop, transported_middle, True, False, cand)
+        return _WalkResult(first_hop, middle, transported_middle, True, False, cand)
     cand.left_vectors = left_eigenvector_tuple(
         prob, cand, max_iter=config.trqi_max_iter, tol=config.trqi_tol
     )
+    cand.delta0_den = screen_denominator(cand, delta_0)
     state.found.append(cand)
     state.found.sort(key=lambda t: (abs(t.lam[-1]), t.lam[-1].real, t.lam[-1].imag))
     del state.found[keep:]
     state.new_found_this_sweep += 1
-    return _WalkResult(first_hop, transported_middle, True, True, cand)
+    return _WalkResult(first_hop, middle, transported_middle, True, True, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +518,7 @@ def sweep_step(
             _Candidate(
                 mu=mu,
                 coeff=coeff,
-                middle=rank_one_factor(coeff)[1],
+                middle=walk.middle,
                 est_residual=walk.first_hop,
                 transported_middle=walk.transported_middle,
                 converged=walk.converged,

@@ -321,7 +321,8 @@ def rank_one_bilinear(y_vectors, a: TTOperator, x_vectors) -> float | complex:
     """y^H A x for rank-one tuples given by their per-mode vectors."""
     acc = np.ones((1, 1))
     for yk, gk, xk in zip(y_vectors, a.cores, x_vectors):
-        acc = acc @ np.einsum("i,aijb,j->ab", np.conj(yk), gk, xk, optimize=True)
+        yg = np.tensordot(np.conj(yk), gk, ([0], [1]))  # (a, j, b)
+        acc = acc @ np.tensordot(yg, xk, ([1], [0]))
     return acc[0, 0]
 
 
@@ -480,18 +481,28 @@ def tt_round_operator(
 # cores and ket cores over all modes strictly left of a position; a right
 # environment R[u, c, v] does the same to the right. The projected operator
 # at the open position is then L * A_k * R.
+#
+# The environment kernels are fixed chains of pairwise tensordot calls, so
+# each contraction is one BLAS product and no einsum path is planned per
+# call. With frame ranks r, operator ranks R and mode size n, a step first
+# contracts the ket bond (r^3 R n flops), then the operator's left bond
+# and column index (r^2 R^2 n^2), then the bra bond and row index
+# (r^3 R n): O(n r^2 R (r + n R)) in all. A single loop over all eight
+# indices, which numpy's greedy path picks at the walk's small shapes,
+# costs r^4 R^2 n^2. ``env_apply`` runs the same chain with the right
+# environment in place of the bra.
 
 
 def env_left_step(env, bra, op, ket):
-    return np.einsum(
-        "xiu,xay,aijc,yjv->ucv", np.conj(bra), env, op, ket, optimize=True
-    )
+    t = np.tensordot(env, ket, ([2], [0]))  # (x, a, j, v)
+    t = np.tensordot(t, op, ([1, 2], [0, 2]))  # (x, v, i, c)
+    return np.tensordot(np.conj(bra), t, ([0, 1], [0, 2])).transpose(0, 2, 1)
 
 
 def env_right_step(env, bra, op, ket):
-    return np.einsum(
-        "xiu,aijc,yjv,ucv->xay", np.conj(bra), op, ket, env, optimize=True
-    )
+    t = np.tensordot(ket, env, ([2], [2]))  # (y, j, u, c)
+    t = np.tensordot(op, t, ([2, 3], [1, 3]))  # (a, i, y, u)
+    return np.tensordot(np.conj(bra), t, ([1, 2], [1, 3]))
 
 
 class FrameEnvCache:
@@ -536,7 +547,9 @@ class FrameEnvCache:
 
 def env_apply(left, op_core, right, y: np.ndarray) -> np.ndarray:
     """(L * A_k * R) y with y given as the (r_l, n, r_r) coefficient tensor."""
-    return np.einsum("xay,aijc,ucv,yjv->xiu", left, op_core, right, y, optimize=True)
+    t = np.tensordot(left, y, ([2], [0]))  # (x, a, j, v)
+    t = np.tensordot(t, op_core, ([1, 2], [0, 2]))  # (x, v, i, c)
+    return np.tensordot(t, right, ([1, 3], [2, 1]))
 
 
 def frame_project(

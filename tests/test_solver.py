@@ -1,14 +1,21 @@
 """Sweep mechanics: frames, selection heuristic, walks, end-to-end solves."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttmep.delta_builder import apply_shift, build_delta0, build_delta_i
 from ttmep.mep_problem import (
     GeneratedProblem,
     MEProblem,
+    duplicate_check,
     generate_random_mep,
     oracle_eigenvalues,
+    screen_denominator,
 )
 from ttmep.solver import (
     SolverConfig,
@@ -27,9 +34,15 @@ from ttmep.tt_core import (
     BlockTT,
     FrameContext,
     FrameEnvCache,
+    TTOperator,
+    TTVector,
     densify,
     densify_frame,
     densify_operator,
+    env_apply,
+    env_left_step,
+    env_right_step,
+    rank_one_bilinear,
 )
 
 
@@ -109,6 +122,45 @@ def test_rank_one_factor_never_worse_than_two_svds():
         fa, fm, fc = rank_one_factor(t)
         err = np.linalg.norm(t - np.einsum("a,i,b->aib", fa, fm, fc))
         assert err <= base_err + 1e-12
+
+
+def _two_svd_seed_error(t):
+    rl, n, rr = t.shape
+    u, s, vh = np.linalg.svd(t.reshape(rl, n * rr), full_matrices=False)
+    rest = (s[0] * vh[0]).reshape(n, rr)
+    u2, s2, vh2 = np.linalg.svd(rest, full_matrices=False)
+    seed = np.einsum("a,i,b->aib", u[:, 0], s2[0] * u2[:, 0], vh2[0])
+    return np.linalg.norm(t - seed)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_rank_one_factor_refinement_improves_on_generic_tensors(complex_):
+    # a refinement pass that conjugates the wrong factor stops at the seed
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        t = rng.standard_normal((3, 4, 3))
+        if complex_:
+            t = t + 1j * rng.standard_normal((3, 4, 3))
+        fa, fm, fc = rank_one_factor(t)
+        err = np.linalg.norm(t - np.einsum("a,i,b->aib", fa, fm, fc))
+        assert err < _two_svd_seed_error(t) - 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4)),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_one_factor_error_never_exceeds_two_svd_seed(shape, complex_, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    if complex_:
+        t = t + 1j * rng.standard_normal(shape)
+    fa, fm, fc = rank_one_factor(t)
+    assert abs(np.linalg.norm(fm) - 1) <= 1e-12
+    err = np.linalg.norm(t - np.einsum("a,i,b->aib", fa, fm, fc))
+    assert err <= _two_svd_seed_error(t) + 1e-12 * np.linalg.norm(t)
 
 
 def test_rank_one_factor_extracts_tuple_component_in_frame():
@@ -200,7 +252,8 @@ def test_estimate_residual_rejects_zero_vector():
 # convergence walk
 
 
-def test_check_convergence_accepts_planted_eigenpair():
+def _planted_walk():
+    """Inputs of a walk from a block frame that holds an exact eigenvector."""
     g = generate_random_mep(3, 4, seed=8)
     work, lam_sorted, eta = shifted_positive(g)
     g_shift = GeneratedProblem(
@@ -215,10 +268,13 @@ def test_check_convergence_accepts_planted_eigenpair():
     state, t, delta_m, delta_0 = planted_state(g_shift, 0, config)
     frame = FrameContext.from_block(state.x)
     fd = densify_frame(frame)
-    from ttmep.tt_core import TTVector
-
     x_full = densify(TTVector([np.real(v).reshape(1, -1, 1) for v in t.vectors]))
     coeff = (fd.T @ x_full).reshape(1, 4, 1)
+    return state, t, coeff, delta_0, work, config
+
+
+def test_check_convergence_accepts_planted_eigenpair():
+    state, t, coeff, delta_0, work, config = _planted_walk()
     walk = check_convergence(
         state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
     )
@@ -232,6 +288,19 @@ def test_check_convergence_accepts_planted_eigenpair():
     )
     assert walk2.converged and not walk2.admitted
     assert len(state.found) == 1
+
+
+def test_admitted_tuple_carries_its_screen_denominator():
+    state, t, coeff, delta_0, work, config = _planted_walk()
+    check_convergence(state, complex(t.lam[-1]), coeff, +1, delta_0, work, config)
+    found = state.found[0]
+    assert found.delta0_den == screen_denominator(found, delta_0)
+    bare = dataclasses.replace(found, delta0_den=None)
+    rng = np.random.default_rng(12)
+    for cand in ([rng.standard_normal(4) for _ in range(3)], found.vectors):
+        assert duplicate_check(cand, [found], delta_0) == duplicate_check(
+            cand, [bare], delta_0
+        )
 
 
 def test_check_convergence_aborts_on_large_projected_residual():
@@ -488,3 +557,49 @@ def test_config_validation():
         SolverConfig(block_size=3, max_rank=2)
     with pytest.raises(ValueError):
         SolverConfig(cos_threshold=1.5)
+
+
+# ---------------------------------------------------------------------------
+# walk kernels
+
+
+def _refuse_einsum_path(monkeypatch):
+    """Make every einsum path search raise from here to the test's end."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum path planned")
+
+    monkeypatch.setattr(np, "einsum_path", refuse)
+    # np.einsum looks the planner up in its own module's namespace
+    monkeypatch.setitem(inspect.unwrap(np.einsum).__globals__, "einsum_path", refuse)
+    eye = np.eye(3)
+    with pytest.raises(AssertionError, match="einsum path planned"):
+        np.einsum("ij,jk,kl->il", eye, eye, eye, optimize=True)
+
+
+def test_walk_kernels_plan_no_einsum_path(monkeypatch):
+    # the five kernels a candidate walk calls on every hop are fixed
+    # tensordot/matmul chains; an einsum(..., optimize=True) among them
+    # would plan its path on every call and fails here
+    _refuse_einsum_path(monkeypatch)
+    rng = np.random.default_rng(31)
+    env = rng.standard_normal((2, 3, 2))
+    core = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+    op = rng.standard_normal((3, 4, 4, 3))
+    assert env_left_step(env, core, op, core).shape == (2, 3, 2)
+    assert env_right_step(env, core, op, core).shape == (2, 3, 2)
+    assert env_apply(env, op, env, core).shape == (2, 4, 2)
+    a = TTOperator([rng.standard_normal((1, 4, 4, 3)), rng.standard_normal((3, 4, 4, 1))])
+    vecs = [rng.standard_normal(4), rng.standard_normal(4)]
+    assert np.isfinite(rank_one_bilinear(vecs, a, vecs))
+    fa, fm, fc = rank_one_factor(core)
+    assert fa.shape == (2,) and fm.shape == (4,) and fc.shape == (2,)
+
+
+def test_admitting_walk_plans_no_einsum_path(monkeypatch):
+    state, t, coeff, delta_0, work, config = _planted_walk()
+    _refuse_einsum_path(monkeypatch)
+    walk = check_convergence(
+        state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
+    )
+    assert walk.admitted

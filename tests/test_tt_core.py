@@ -1,5 +1,6 @@
 """Train-format invariants: evaluation, rounding, frames, block shifts."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -21,6 +22,8 @@ from ttmep.tt_core import (
     evaluate,
     evaluate_operator,
     env_apply,
+    env_left_step,
+    env_right_step,
     feasible_ranks,
     frame_project,
     identity_operator,
@@ -28,6 +31,7 @@ from ttmep.tt_core import (
     is_right_orthonormal,
     left_orthonormalize_core,
     random_tt,
+    rank_one_bilinear,
     right_orthonormalize_core,
     shift_block_core,
     tt_from_bytes,
@@ -362,6 +366,94 @@ def test_frame_project_cap():
     eye = identity_operator((3, 3, 3))
     with pytest.raises(CapExceededError):
         frame_project(frame, eye, envs=_envs(frame, eye), dim_cap=5)
+
+
+# ---------------------------------------------------------------------------
+# environment kernels
+
+# (bra complex, ket complex); the operator cores stay real, as in the solver
+BRA_KET = [(False, False), (True, True), (False, True), (True, False)]
+
+
+def _chain(rng, sizes, ranks, complex_):
+    cores = random_tt(rng, sizes, ranks).cores
+    if complex_:
+        cores = [g + 1j * rng.standard_normal(g.shape) for g in cores]
+    return cores
+
+
+@pytest.mark.parametrize("bra_complex,ket_complex", BRA_KET)
+def test_env_kernels_match_dense_frame_projection(bra_complex, ket_complex):
+    # environments grown step by step from the rank-1 boundaries, applied
+    # with env_apply column by column, give Fb^H A Fk at every open mode
+    rng = np.random.default_rng(21)
+    sizes = (2, 3, 2, 3)
+    a = random_operator(rng, sizes, (2, 3, 2))
+    bra = _chain(rng, sizes, (2, 3, 2), bra_complex)
+    ket = _chain(rng, sizes, (3, 2, 3), ket_complex)
+    ad = densify_operator(a)
+    m = len(sizes)
+    for k in range(m):
+        left = np.ones((1, 1, 1))
+        for p in range(k):
+            left = env_left_step(left, bra[p], a.cores[p], ket[p])
+        right = np.ones((1, 1, 1))
+        for p in range(m - 1, k, -1):
+            right = env_right_step(right, bra[p], a.cores[p], ket[p])
+        fb = densify_frame(FrameContext(bra, k))
+        fk = densify_frame(FrameContext(ket, k))
+        ref = np.conj(fb).T @ ad @ fk
+        shape = (left.shape[2], sizes[k], right.shape[2])
+        cols = np.stack(
+            [
+                env_apply(left, a.cores[k], right, e.reshape(shape)).reshape(-1)
+                for e in np.eye(fk.shape[1])
+            ],
+            axis=1,
+        )
+        assert cols.shape == ref.shape
+        assert np.allclose(cols, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("bra_complex,ket_complex", BRA_KET)
+def test_env_steps_over_all_modes_give_the_bilinear_form(bra_complex, ket_complex):
+    rng = np.random.default_rng(22)
+    sizes = (3, 2, 3)
+    a = random_operator(rng, sizes, (3, 2))
+    bra = _chain(rng, sizes, (2, 3), bra_complex)
+    ket = _chain(rng, sizes, (3, 2), ket_complex)
+    yd, ad, xd = densify(TTVector(bra)), densify_operator(a), densify(TTVector(ket))
+    ref = np.vdot(yd, ad @ xd)
+    tol = 1e-12 * np.linalg.norm(yd) * np.linalg.norm(ad, 2) * np.linalg.norm(xd)
+    left = np.ones((1, 1, 1))
+    for p in range(len(sizes)):
+        left = env_left_step(left, bra[p], a.cores[p], ket[p])
+    right = np.ones((1, 1, 1))
+    for p in reversed(range(len(sizes))):
+        right = env_right_step(right, bra[p], a.cores[p], ket[p])
+    assert left.shape == right.shape == (1, 1, 1)
+    assert abs(left[0, 0, 0] - ref) <= tol
+    assert abs(right[0, 0, 0] - ref) <= tol
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_rank_one_bilinear_matches_dense(complex_):
+    rng = np.random.default_rng(23)
+    sizes = (3, 2, 4)
+    a = random_operator(rng, sizes, (3, 2))
+
+    def vec(n):
+        v = rng.standard_normal(n)
+        return v + 1j * rng.standard_normal(n) if complex_ else v
+
+    ys = [vec(n) for n in sizes]
+    xs = [vec(n) for n in sizes]
+    yd = functools.reduce(np.kron, ys)
+    xd = functools.reduce(np.kron, xs)
+    ad = densify_operator(a)
+    ref = np.vdot(yd, ad @ xd)
+    tol = 1e-12 * np.linalg.norm(yd) * np.linalg.norm(ad, 2) * np.linalg.norm(xd)
+    assert abs(rank_one_bilinear(ys, a, xs) - ref) <= tol
 
 
 # ---------------------------------------------------------------------------
