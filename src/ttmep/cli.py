@@ -31,6 +31,7 @@ from .mep_problem import (
     GeneratedProblem,
     SingularRayleighError,
     generate_random_mep,
+    index_eigenvalues,
     load_problem,
     oracle_eigenvalues,
     save_problem,
@@ -102,21 +103,28 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
+# multi-indices sampled by ``bench`` to place its exterior shift
+SHIFT_SAMPLES = 20_000
+
+# solve flag (argparse dest) -> SolverConfig field; --round-tol and
+# --no-round together set delta_round_tol
+CONFIG_FLAGS = {
+    "b": "block_size",
+    "sweeps": "sweeps",
+    "kick": "kick",
+    "max_rank": "max_rank",
+    "eps": "eps",
+    "eps1": "eps1",
+    "xi": "xi",
+    "cos_threshold": "cos_threshold",
+    "ritz_rule": "ritz_rule",
+    "seed": "seed",
+}
+
+
 def _config_from_args(args):
     kw = {}
-    mapping = {
-        "b": "block_size",
-        "sweeps": "sweeps",
-        "kick": "kick",
-        "max_rank": "max_rank",
-        "eps": "eps",
-        "eps1": "eps1",
-        "xi": "xi",
-        "cos_threshold": "cos_threshold",
-        "ritz_rule": "ritz_rule",
-        "seed": "seed",
-    }
-    for arg_name, field_name in mapping.items():
+    for arg_name, field_name in CONFIG_FLAGS.items():
         value = getattr(args, arg_name, None)
         if value is not None:
             kw[field_name] = value
@@ -240,28 +248,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _sampled_lambda_m_min(g, samples: int = 20_000, seed: int = 0) -> float:
-    """Approximate min real lambda_m from a random subsample of the spectra.
+def _sampled_lambda_m_min(g, seed: int) -> float:
+    """Approximate min real lambda_m from ``SHIFT_SAMPLES`` random multi-indices.
 
     Enough for choosing an exteriorizing shift when full enumeration (n^m
     systems) is out of reach.
     """
     m, n = g.m, g.n
     rng = np.random.default_rng(seed)
-    count = min(samples, n**m)
-    idx = rng.integers(0, n, size=(count, m))
-    a_spec = np.stack(g.spectrum_a)
-    b_spec = np.stack([np.stack(row) for row in g.spectrum_b])
-    rows = np.arange(m)
-    mats = b_spec[
-        rows[np.newaxis, :, np.newaxis],
-        rows[np.newaxis, np.newaxis, :],
-        idx[:, :, np.newaxis],
-    ]
-    rhs = a_spec[rows[np.newaxis, :], idx]
-    lam = np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
-    finite = np.all(np.isfinite(lam), axis=1)
-    return float(lam[finite, m - 1].real.min())
+    idx = rng.integers(0, n, size=(min(SHIFT_SAMPLES, n**m), m))
+    lam, ok = index_eigenvalues(g, idx)
+    return float(lam[ok, m - 1].real.min())
 
 
 def cmd_bench(args) -> int:

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .mep_problem import MEProblem
+from .mep_problem import GeneratedProblem, MEProblem
 from .tt_core import TTOperator, tt_round_operator
 
 
@@ -103,10 +103,8 @@ def apply_shift(prob: MEProblem, eta: float) -> MEProblem:
     return MEProblem(a=a, b=b)
 
 
-def shift_generated(g, eta: float):
+def shift_generated(g: GeneratedProblem, eta: float) -> GeneratedProblem:
     """``apply_shift`` for generated problems, keeping the spectra in sync."""
-    from .mep_problem import GeneratedProblem
-
     return GeneratedProblem(
         problem=apply_shift(g.problem, eta),
         u_factors=[u.copy() for u in g.u_factors],

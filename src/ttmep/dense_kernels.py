@@ -1,8 +1,8 @@
 """Dense linear-algebra contracts shared by the other modules.
 
 Thin, verified wrappers around LAPACK (through numpy/scipy): a full
-nonsymmetric generalized eigensolver in the (alpha, beta) parametrization
-with explicit handling of infinite eigenvalues, the deterministic Ritz-value
+nonsymmetric generalized eigensolver that solves in the homogeneous
+(alpha, beta) form and flags the infinite eigenvalues, the deterministic Ritz-value
 selection rule, and the principal angle between two vectors.
 """
 
@@ -19,35 +19,27 @@ class SingularPencilError(RuntimeError):
 
 
 RITZ_RULES = ("positive-real-part", "positive-imag-part")
+# |beta| at or below this fraction of ||N|| marks an infinite eigenvalue
+BETA_FLOOR = 1e-14
 
 
 @dataclass
 class GeneralizedEigenResult:
-    """Full spectrum of a pencil (M, N) in homogeneous (alpha, beta) form.
+    """Full spectrum of a pencil (M, N).
 
     ``eigenvalues`` holds alpha/beta where finite and complex infinity where
     ``finite`` is False; ``right`` holds the eigenvectors columnwise.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
     eigenvalues: np.ndarray
     finite: np.ndarray
     right: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
 
-
-def generalized_eig(
-    m: np.ndarray,
-    n: np.ndarray,
-    beta_floor: float = 1e-14,
-) -> GeneralizedEigenResult:
+def generalized_eig(m: np.ndarray, n: np.ndarray) -> GeneralizedEigenResult:
     """Full QZ-style solve of the pencil (M, N).
 
-    Pairs with |beta| below ``beta_floor`` times the scale of N are flagged
+    Pairs with |beta| below ``BETA_FLOOR`` times the scale of N are flagged
     infinite rather than divided out. If some pair has both alpha and beta
     at the noise floor the pencil is reported singular.
     """
@@ -62,17 +54,15 @@ def generalized_eig(
     )
     scale_m = max(float(np.linalg.norm(m)), np.finfo(float).tiny)
     scale_n = max(float(np.linalg.norm(n)), np.finfo(float).tiny)
-    finite = np.abs(beta) > beta_floor * scale_n
-    degenerate = ~finite & (np.abs(alpha) <= beta_floor * scale_m)
+    finite = np.abs(beta) > BETA_FLOOR * scale_n
+    degenerate = ~finite & (np.abs(alpha) <= BETA_FLOOR * scale_m)
     if np.any(degenerate):
         raise SingularPencilError(
             f"{int(np.count_nonzero(degenerate))} alpha/beta pairs vanish together"
         )
     lam = np.full(alpha.shape, complex(np.inf), dtype=complex)
     lam[finite] = alpha[finite] / beta[finite]
-    return GeneralizedEigenResult(
-        alpha=alpha, beta=beta, eigenvalues=lam, finite=finite, right=vr
-    )
+    return GeneralizedEigenResult(eigenvalues=lam, finite=finite, right=vr)
 
 
 def select_ritz(

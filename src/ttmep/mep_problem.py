@@ -19,6 +19,8 @@ import numpy as np
 from .tt_core import CapExceededError, TTOperator, rank_one_bilinear
 
 ORACLE_CAP = 10_000_000
+# multi-indices solved per batch by oracle_eigenvalues
+ORACLE_CHUNK = 200_000
 GENERATOR_STYLES = ("cheb-powers",)
 
 
@@ -199,19 +201,45 @@ def generate_random_mep(
     )
 
 
+def index_eigenvalues(g: GeneratedProblem, idx: np.ndarray):
+    """Exact eigenvalue tuples of the multi-indices ``idx`` (T, m).
+
+    Multi-index (i_1, ..., i_m) yields one m x m linear system whose row i
+    is [b_i1(i_i), ..., b_im(i_i)] with right-hand side a_i(i_i); its
+    solution is the tuple. Returns (lam of shape (T, m), ok), where ``ok``
+    marks the systems that are nonsingular with a finite solution.
+    """
+    a_spec = np.stack(g.spectrum_a)  # (m, n)
+    b_spec = np.stack([np.stack(row) for row in g.spectrum_b])  # (m, m, n)
+    rows = np.arange(g.m)
+    mats = b_spec[rows[np.newaxis, :, np.newaxis], rows[np.newaxis, np.newaxis, :], idx[:, :, np.newaxis]]
+    rhs = a_spec[rows[np.newaxis, :], idx]
+    try:
+        lam = np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
+        return lam, np.all(np.isfinite(lam), axis=1)
+    except np.linalg.LinAlgError:
+        lam = np.full(rhs.shape, np.nan)
+        ok = np.zeros(len(idx), dtype=bool)
+        for t in range(len(idx)):
+            try:
+                lam[t] = np.linalg.solve(mats[t], rhs[t])
+                ok[t] = bool(np.all(np.isfinite(lam[t])))
+            except np.linalg.LinAlgError:
+                pass
+        return lam, ok
+
+
 def oracle_eigenvalues(
     g: GeneratedProblem,
     how_many: int,
     target: complex = 0.0,
     cap: int = ORACLE_CAP,
-    chunk: int = 200_000,
 ):
     """Exact tuples closest to the target in lambda_m, by full enumeration.
 
-    Every multi-index (i_1, ..., i_m) yields one m x m linear system whose
-    row i is [b_i1(i_i), ..., b_im(i_i)] with right-hand side a_i(i_i); the
-    solution is the eigenvalue tuple, and the eigenvectors are the matching
-    columns of Z_i^{-1}. Returns (tuples, skipped_singular_count).
+    Every multi-index is solved by ``index_eigenvalues``, in batches of
+    ``ORACLE_CHUNK``; the eigenvectors are the matching columns of
+    Z_i^{-1}. Returns (tuples, skipped_singular_count).
     """
     m, n = g.m, g.n
     total = n**m
@@ -219,29 +247,13 @@ def oracle_eigenvalues(
         raise CapExceededError(f"{total} systems exceed the cap of {cap}")
     if how_many <= 0:
         return [], 0
-    a_spec = np.stack(g.spectrum_a)  # (m, n)
-    b_spec = np.stack([np.stack(row) for row in g.spectrum_b])  # (m, m, n)
-    rows = np.arange(m)
     skipped = 0
     kept: list[tuple[float, int, np.ndarray]] = []
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, ORACLE_CHUNK):
+        stop = min(start + ORACLE_CHUNK, total)
         flat = np.arange(start, stop)
         idx = np.stack(np.unravel_index(flat, (n,) * m), axis=1)  # (T, m)
-        mats = b_spec[rows[np.newaxis, :, np.newaxis], rows[np.newaxis, np.newaxis, :], idx[:, :, np.newaxis]]
-        rhs = a_spec[rows[np.newaxis, :], idx]
-        try:
-            lam = np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
-            ok = np.all(np.isfinite(lam), axis=1)
-        except np.linalg.LinAlgError:
-            lam = np.full(rhs.shape, np.nan)
-            ok = np.zeros(stop - start, dtype=bool)
-            for t in range(stop - start):
-                try:
-                    lam[t] = np.linalg.solve(mats[t], rhs[t])
-                    ok[t] = bool(np.all(np.isfinite(lam[t])))
-                except np.linalg.LinAlgError:
-                    pass
+        lam, ok = index_eigenvalues(g, idx)
         skipped += int(np.count_nonzero(~ok))
         keys = np.abs(lam[:, m - 1] - target)
         good = np.nonzero(ok)[0]
@@ -344,7 +356,7 @@ def trqi_refine(
     return best
 
 
-def left_eigenvector_tuple(prob: MEProblem, t: EigenTuple, **refine_kw):
+def left_eigenvector_tuple(prob: MEProblem, t: EigenTuple):
     """Left tuple y_i, computed as a right tuple of the transposed problem.
 
     The transposed problem is seeded with the conjugated tuple, so that for
@@ -359,7 +371,7 @@ def left_eigenvector_tuple(prob: MEProblem, t: EigenTuple, **refine_kw):
     seed = EigenTuple.build(
         tprob, np.conj(t.lam), [np.conj(v) for v in t.vectors]
     )
-    refined = trqi_refine(tprob, seed, **refine_kw)
+    refined = trqi_refine(tprob, seed)
     return [v.copy() for v in refined.vectors]
 
 

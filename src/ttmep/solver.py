@@ -39,12 +39,23 @@ from .tt_core import (
     env_right_step,
     frame_project,
     shift_block_core,
+    _truncation_rank,
 )
+
+# solve() stops after this many consecutive sweeps admit no new tuple
+NO_PROGRESS_SWEEPS = 5
+# alternating refinement rounds of rank_one_factor
+REFINE_PASSES = 5
 
 
 @dataclass
 class SolverConfig:
-    """Sweep parameters; defaults follow the reference experiment setup."""
+    """Sweep parameters; defaults follow the reference experiment setup.
+
+    Every field has a ``ttmep solve`` flag. The found list keeps the
+    ``4 * block_size`` tuples nearest the target, and a solve stops after
+    ``NO_PROGRESS_SWEEPS`` sweeps without a new tuple.
+    """
 
     block_size: int = 5
     kick: int = 1
@@ -54,15 +65,9 @@ class SolverConfig:
     eps1: float = 1e-8
     xi: float = 1e-4
     cos_threshold: float = 0.99
-    keep_found: int | None = None  # None -> 4 * block_size
     delta_round_tol: float | None = 1e-13  # None skips operator rounding
     seed: int = 0
     ritz_rule: str = "positive-real-part"
-    no_progress_window: int = 5
-    sv_floor: float = 1e-14
-    projected_dim_cap: int = 10_000
-    trqi_max_iter: int = 10
-    trqi_tol: float = 1e-10
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -78,10 +83,6 @@ class SolverConfig:
     @property
     def resolved_max_rank(self) -> int:
         return self.block_size + 1 if self.max_rank is None else self.max_rank
-
-    @property
-    def resolved_keep(self) -> int:
-        return 4 * self.block_size if self.keep_found is None else self.keep_found
 
 
 @dataclass
@@ -107,40 +108,31 @@ class SweepState:
     found: list[EigenTuple] = field(default_factory=list)
     estimates: dict[int, list[np.ndarray]] = field(default_factory=dict)
     sweep: int = 0
-    direction: int = +1
     new_found_this_sweep: int = 0
 
 
 @dataclass
 class _Candidate:
+    """One Ritz pair and what its walk found."""
+
     mu: complex
     coeff: np.ndarray  # (r_left, n_k, r_right), unit norm
-    middle: np.ndarray  # unit factor at the current mode
-    est_residual: float
-    transported_middle: np.ndarray | None
-    converged: bool
-    admitted: bool
-
-
-@dataclass
-class _WalkResult:
-    first_hop: float
     middle: np.ndarray  # rank-one middle factor at the block mode
+    est_residual: float  # projected residual after the first hop
     transported_middle: np.ndarray | None
-    converged: bool
-    admitted: bool
-    tuple: EigenTuple | None
+    converged: bool = False
+    admitted: bool = False
 
 
 # ---------------------------------------------------------------------------
 # rank-one factorization of a coefficient tensor
 
 
-def rank_one_factor(tensor: np.ndarray, refine_passes: int = 5):
+def rank_one_factor(tensor: np.ndarray):
     """Best-effort rank-one split T ~ a (x) mid (x) c of a 3-way tensor.
 
     Two nested rank-1 SVD truncations seed an alternating refinement (at
-    most ``refine_passes`` rounds, monotone in Frobenius error). The middle
+    most ``REFINE_PASSES`` rounds, monotone in Frobenius error). The middle
     factor is returned with unit norm; ``a`` carries the scale.
     """
     t = np.asarray(tensor)
@@ -163,7 +155,7 @@ def rank_one_factor(tensor: np.ndarray, refine_passes: int = 5):
 
     best = (scale, a, mid, c)
     best_err = err(*best)
-    for _ in range(refine_passes):
+    for _ in range(REFINE_PASSES):
         a_new = tm @ np.outer(np.conj(mid), np.conj(c)).ravel()
         na = np.linalg.norm(a_new)
         if na == 0:
@@ -190,24 +182,18 @@ def rank_one_factor(tensor: np.ndarray, refine_passes: int = 5):
     return a * scale, mid, c
 
 
-def _numerical_rank(s: np.ndarray, floor: float) -> int:
-    if s.size == 0 or s[0] == 0:
-        return 1
-    return max(1, int(np.count_nonzero(s > floor * s[0])))
-
-
-def _split_forward(v: np.ndarray, floor: float):
+def _split_forward(v: np.ndarray):
     a, n, c = v.shape
     u, s, vh = np.linalg.svd(v.reshape(a * n, c), full_matrices=False)
-    rho = _numerical_rank(s, floor)
+    rho = _truncation_rank(s, 0.0)
     carry = s[:rho, np.newaxis] * vh[:rho]
     return u[:, :rho].reshape(a, n, rho), carry
 
 
-def _split_backward(v: np.ndarray, floor: float):
+def _split_backward(v: np.ndarray):
     a, n, c = v.shape
     u, s, vh = np.linalg.svd(v.reshape(a, n * c), full_matrices=False)
-    rho = _numerical_rank(s, floor)
+    rho = _truncation_rank(s, 0.0)
     carry = u[:, :rho] * s[np.newaxis, :rho]
     return vh[:rho].reshape(rho, n, c), carry
 
@@ -221,13 +207,12 @@ class _ChainWalker:
     every visited mode underestimates the true full-space residual.
     """
 
-    def __init__(self, cores, env_m: FrameEnvCache, env_0: FrameEnvCache, k: int, coeff, sv_floor: float):
+    def __init__(self, cores, env_m: FrameEnvCache, env_0: FrameEnvCache, k: int, coeff):
         self.cores = cores
         self.env_m = env_m
         self.env_0 = env_0
         self.pos = k
         self.v = coeff
-        self.sv_floor = sv_floor
         self.lm = env_m.left[k]
         self.l0 = env_0.left[k]
         self.rm = env_m.right[k]
@@ -241,14 +226,14 @@ class _ChainWalker:
         op_m = self.env_m.op
         op_0 = self.env_0.op
         if direction == +1:
-            chain_core, carry = _split_forward(self.v, self.sv_floor)
+            chain_core, carry = _split_forward(self.v)
             self.lm = env_left_step(self.lm, chain_core, op_m.cores[self.pos], chain_core)
             self.l0 = env_left_step(self.l0, chain_core, op_0.cores[self.pos], chain_core)
             self.v = np.einsum("sc,cjt->sjt", carry, self.cores[nxt])
             self.rm = self.env_m.right[nxt]
             self.r0 = self.env_0.right[nxt]
         else:
-            chain_core, carry = _split_backward(self.v, self.sv_floor)
+            chain_core, carry = _split_backward(self.v)
             self.rm = env_right_step(self.rm, chain_core, op_m.cores[self.pos], chain_core)
             self.r0 = env_right_step(self.r0, chain_core, op_0.cores[self.pos], chain_core)
             self.v = np.einsum("xja,as->xjs", self.cores[nxt], carry)
@@ -279,9 +264,7 @@ def estimate_residual(
     nv = np.linalg.norm(coeff)
     if nv == 0:
         raise ValueError("degenerate candidate vector")
-    walker = _ChainWalker(
-        state.x.cores, state.env_m, state.env_0, k, coeff / nv, 1e-14
-    )
+    walker = _ChainWalker(state.x.cores, state.env_m, state.env_0, k, coeff / nv)
     return walker.hop(direction, mu)
 
 
@@ -293,7 +276,7 @@ def check_convergence(
     delta_0: TTOperator,
     prob: MEProblem,
     config: SolverConfig,
-) -> _WalkResult:
+) -> _Candidate:
     """Walk single-pair frames over all modes and admit the tuple if sound.
 
     Hops proceed in ``direction`` until the boundary, then restart from the
@@ -301,21 +284,21 @@ def check_convergence(
     eps1 aborts the walk. With estimates for every mode collected, the
     tuple (one factor per mode) is refined by Rayleigh quotient iteration,
     tested against the full residual tolerance eps, dropped unless among the
-    ``keep_found`` closest to the target, screened for duplicates at xi,
-    and inserted into the found list.
+    ``4 * block_size`` closest to the target, screened for duplicates at xi,
+    and inserted into the found list. Returns the pair's candidate record.
     """
     cores = state.x.cores
     m = len(cores)
     k = state.x.block_index
-    coeff = np.asarray(coeff)
-    coeff = coeff / np.linalg.norm(coeff)
-    middle = rank_one_factor(coeff)[1]
+    unit = np.asarray(coeff)
+    unit = unit / np.linalg.norm(unit)
+    middle = rank_one_factor(unit)[1]
     estimates: dict[int, np.ndarray] = {k: middle}
     first_hop = np.inf
     transported_middle = None
     aborted = False
     for phase_dir in (direction, -direction):
-        walker = _ChainWalker(cores, state.env_m, state.env_0, k, coeff, config.sv_floor)
+        walker = _ChainWalker(cores, state.env_m, state.env_0, k, unit)
         while 0 <= walker.pos + phase_dir < m:
             res = walker.hop(phase_dir, mu)
             if transported_middle is None:
@@ -329,33 +312,33 @@ def check_convergence(
                 break
         if aborted:
             break
+    cand = _Candidate(mu, coeff, middle, first_hop, transported_middle)
     if aborted or len(estimates) < m:
-        return _WalkResult(first_hop, middle, transported_middle, False, False, None)
+        return cand
     vectors = [estimates[p] for p in range(m)]
     try:
         lam = tensor_rayleigh_quotient(prob, vectors)
     except SingularRayleighError:
-        return _WalkResult(first_hop, middle, transported_middle, False, False, None)
-    cand = EigenTuple.build(prob, lam, vectors)
-    cand = trqi_refine(prob, cand, config.trqi_max_iter, config.trqi_tol)
-    if not np.isfinite(cand.residual_norm) or cand.residual_norm >= config.eps:
-        return _WalkResult(first_hop, middle, transported_middle, False, False, cand)
-    keep = config.resolved_keep
-    key = abs(cand.lam[-1])
-    if len(state.found) >= keep and key >= max(abs(t.lam[-1]) for t in state.found):
-        return _WalkResult(first_hop, middle, transported_middle, True, False, cand)
-    accept, _ratio = duplicate_check(cand.vectors, state.found, delta_0, config.xi)
+        return cand
+    t = trqi_refine(prob, EigenTuple.build(prob, lam, vectors))
+    if not np.isfinite(t.residual_norm) or t.residual_norm >= config.eps:
+        return cand
+    cand.converged = True
+    keep = 4 * config.block_size
+    key = abs(t.lam[-1])
+    if len(state.found) >= keep and key >= max(abs(f.lam[-1]) for f in state.found):
+        return cand
+    accept, _ratio = duplicate_check(t.vectors, state.found, delta_0, config.xi)
     if not accept:
-        return _WalkResult(first_hop, middle, transported_middle, True, False, cand)
-    cand.left_vectors = left_eigenvector_tuple(
-        prob, cand, max_iter=config.trqi_max_iter, tol=config.trqi_tol
-    )
-    cand.delta0_den = screen_denominator(cand, delta_0)
-    state.found.append(cand)
-    state.found.sort(key=lambda t: (abs(t.lam[-1]), t.lam[-1].real, t.lam[-1].imag))
+        return cand
+    t.left_vectors = left_eigenvector_tuple(prob, t)
+    t.delta0_den = screen_denominator(t, delta_0)
+    state.found.append(t)
+    state.found.sort(key=lambda f: (abs(f.lam[-1]), f.lam[-1].real, f.lam[-1].imag))
     del state.found[keep:]
     state.new_found_this_sweep += 1
-    return _WalkResult(first_hop, middle, transported_middle, True, True, cand)
+    cand.admitted = True
+    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +465,8 @@ def sweep_step(
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
-    pm = frame_project(
-        frame,
-        delta_m,
-        envs=(state.env_m.left[k], state.env_m.right[k]),
-        dim_cap=config.projected_dim_cap,
-    )
-    p0 = frame_project(
-        frame,
-        delta_0,
-        envs=(state.env_0.left[k], state.env_0.right[k]),
-        dim_cap=config.projected_dim_cap,
-    )
+    pm = frame_project(frame, delta_m, envs=(state.env_m.left[k], state.env_m.right[k]))
+    p0 = frame_project(frame, delta_0, envs=(state.env_0.left[k], state.env_0.right[k]))
     t_proj = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -509,20 +482,11 @@ def sweep_step(
     new_before = state.new_found_this_sweep
     candidates = []
     for i in indices:
-        mu = geig.eigenvalues[i]
         vec = geig.right[:, i]
-        vec = vec / np.linalg.norm(vec)
-        coeff = vec.reshape(rl, n_k, rr)
-        walk = check_convergence(state, mu, coeff, direction, delta_0, prob, config)
+        coeff = (vec / np.linalg.norm(vec)).reshape(rl, n_k, rr)
         candidates.append(
-            _Candidate(
-                mu=mu,
-                coeff=coeff,
-                middle=walk.middle,
-                est_residual=walk.first_hop,
-                transported_middle=walk.transported_middle,
-                converged=walk.converged,
-                admitted=walk.admitted,
+            check_convergence(
+                state, geig.eigenvalues[i], coeff, direction, delta_0, prob, config
             )
         )
     previous = state.estimates.get(k, [])
@@ -536,12 +500,7 @@ def sweep_step(
         columns.reshape(rl, n_k, rr, b).transpose(0, 1, 3, 2)
     )
     shift_block_core(
-        x,
-        direction,
-        config.resolved_max_rank,
-        enrichment=config.kick,
-        rng=state.rng,
-        sv_floor=config.sv_floor,
+        x, direction, config.resolved_max_rank, enrichment=config.kick, rng=state.rng
     )
     state.env_m.refresh_after_shift(x.cores, k, x.block_index)
     state.env_0.refresh_after_shift(x.cores, k, x.block_index)
@@ -577,8 +536,9 @@ def solve(
     """Find eigenvalue tuples with lambda_m closest to the target.
 
     The problem is shifted so the target sits at zero, swept until the
-    sweep cap or until ``no_progress_window`` sweeps pass without a new
-    tuple, and the found lambda_m values are shifted back. Returns
+    sweep cap or until ``NO_PROGRESS_SWEEPS`` sweeps pass without a new
+    tuple, and the found lambda_m values are shifted back. At most the
+    ``4 * block_size`` tuples nearest the target are kept. Returns
     (tuples sorted by |lambda_m - target|, report dict).
     """
     config = config or SolverConfig()
@@ -594,7 +554,6 @@ def solve(
         state.sweep = sweep
         state.new_found_this_sweep = 0
         for direction, modes in ((+1, range(m - 1)), (-1, range(m - 1, 0, -1))):
-            state.direction = direction
             state.estimates.clear()  # estimates are one step ahead only
             for mode in modes:
                 assert state.x.block_index == mode
@@ -604,7 +563,7 @@ def solve(
         sweeps_run = sweep
         if state.new_found_this_sweep > 0:
             last_progress_sweep = sweep
-        if sweep - last_progress_sweep >= config.no_progress_window:
+        if sweep - last_progress_sweep >= NO_PROGRESS_SWEEPS:
             break
     shift = np.zeros(m, dtype=complex)
     shift[m - 1] = target
@@ -625,21 +584,7 @@ def solve(
         "config": _config_dict(config),
         "sweeps_run": sweeps_run,
         "delta_ranks": {"delta_m": list(delta_m.ranks), "delta_0": list(delta_0.ranks)},
-        "steps": [
-            {
-                "sweep": r.sweep,
-                "mode": r.mode,
-                "direction": r.direction,
-                "projected_size": r.projected_size,
-                "n_candidates": r.n_candidates,
-                "n_selected": r.n_selected,
-                "n_converged_new": r.n_converged_new,
-                "wall_ms": r.wall_ms,
-                "phase_ms": r.phase_ms,
-                "ranks": list(r.ranks),
-            }
-            for r in records
-        ],
+        "steps": [{**asdict(r), "ranks": list(r.ranks)} for r in records],
         "tuples": [
             {
                 "lambda": [[float(v.real), float(v.imag)] for v in t.lam],
@@ -656,5 +601,4 @@ def solve(
 def _config_dict(config: SolverConfig) -> dict:
     doc = asdict(config)
     doc["max_rank"] = config.resolved_max_rank
-    doc["keep_found"] = config.resolved_keep
     return doc

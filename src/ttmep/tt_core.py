@@ -248,11 +248,11 @@ def densify(v: TTVector, cap: int = DENSE_CAP) -> np.ndarray:
     return acc.reshape(-1)
 
 
-def densify_operator(a: TTOperator, cap: int = DENSE_CAP) -> np.ndarray:
+def densify_operator(a: TTOperator) -> np.ndarray:
     """Dense matrix of the operator; rows/columns use the same C-order map."""
     n_total = int(np.prod(a.mode_sizes, dtype=np.int64))
-    if n_total * n_total > cap:
-        raise CapExceededError(f"dense size {n_total}^2 exceeds cap {cap}")
+    if n_total * n_total > DENSE_CAP:
+        raise CapExceededError(f"dense size {n_total}^2 exceeds cap {DENSE_CAP}")
     acc = a.cores[0][0]  # (n, n, r)
     rows = cols = a.mode_sizes[0]
     for k in range(1, a.order):
@@ -405,16 +405,16 @@ def is_right_orthonormal(core: np.ndarray, tol: float = 1e-12) -> bool:
 # rounding
 
 
-def _truncation_rank(s: np.ndarray, budget: float, max_rank, floor: float) -> int:
-    """Smallest kept rank honoring the tail-energy budget, floor and cap."""
+def _truncation_rank(s: np.ndarray, budget: float, max_rank=None) -> int:
+    """Smallest kept rank honoring the tail-energy budget, SV_FLOOR and cap."""
     if s.size == 0:
         return 1
-    tail = np.sqrt(np.maximum(0.0, np.cumsum(s[::-1] ** 2)))[::-1]
     r_energy = s.size
     if budget > 0:
+        tail = np.sqrt(np.maximum(0.0, np.cumsum(s[::-1] ** 2)))[::-1]
         ok = np.nonzero(tail <= budget)[0]
         r_energy = int(ok[0]) if ok.size else s.size
-    r_floor = int(np.count_nonzero(s > floor * s[0])) if s[0] > 0 else 1
+    r_floor = int(np.count_nonzero(s > SV_FLOOR * s[0])) if s[0] > 0 else 1
     r = min(r_energy, r_floor)
     if max_rank is not None:
         r = min(r, int(max_rank))
@@ -425,7 +425,6 @@ def tt_round(
     v: TTVector,
     tol: float,
     max_rank: int | None = None,
-    sv_floor: float = SV_FLOOR,
 ) -> TTVector:
     """SVD rounding to a relative Frobenius tolerance.
 
@@ -448,7 +447,7 @@ def tt_round(
         g = out.cores[k]
         r0, n, r1 = g.shape
         u, s, vh = np.linalg.svd(g.reshape(r0 * n, r1), full_matrices=False)
-        r = _truncation_rank(s, budget, max_rank, sv_floor)
+        r = _truncation_rank(s, budget, max_rank)
         out.cores[k] = u[:, :r].reshape(r0, n, r)
         carry = s[:r, np.newaxis] * vh[:r]
         absorb_transfer_right(out, k, carry)
@@ -459,13 +458,12 @@ def tt_round_operator(
     a: TTOperator,
     tol: float,
     max_rank: int | None = None,
-    sv_floor: float = SV_FLOOR,
 ) -> TTOperator:
     """Rounding for operators: each core is rounded with its modes fused."""
     fused = TTVector(
         [g.reshape(g.shape[0], g.shape[1] * g.shape[2], g.shape[3]) for g in a.cores]
     )
-    rounded = tt_round(fused, tol, max_rank=max_rank, sv_floor=sv_floor)
+    rounded = tt_round(fused, tol, max_rank=max_rank)
     sizes = a.mode_sizes
     cores = [
         g.reshape(g.shape[0], sizes[k], sizes[k], g.shape[2])
@@ -572,11 +570,11 @@ def frame_project(
     return mat.reshape(dim, dim)
 
 
-def densify_frame(frame: FrameContext, cap: int = DENSE_CAP) -> np.ndarray:
+def densify_frame(frame: FrameContext) -> np.ndarray:
     """Dense frame matrix (testing aid; guarded by the dense cap)."""
     sizes = [g.shape[1] for g in frame.cores]
     total = int(np.prod(sizes, dtype=np.int64))
-    if total * frame.local_dim > cap:
+    if total * frame.local_dim > DENSE_CAP:
         raise CapExceededError("dense frame would exceed cap")
     k = frame.index
     left = np.ones((1, 1))
@@ -619,7 +617,6 @@ def shift_block_core(
     target_rank: int,
     enrichment: int = 0,
     rng: np.random.Generator | None = None,
-    sv_floor: float = SV_FLOOR,
 ) -> BlockTT:
     """Move the block core one mode over, truncating by SVD.
 
@@ -642,9 +639,9 @@ def shift_block_core(
     g = x.cores[k]
     r0, n, b, r1 = g.shape
     if direction == +1:
-        mat = g.transpose(0, 1, 2, 3).reshape(r0 * n, b * r1)
+        mat = g.reshape(r0 * n, b * r1)
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        rho = _truncation_rank(s, 0.0, target_rank, sv_floor)
+        rho = _truncation_rank(s, 0.0, target_rank)
         u = u[:, :rho]
         coef = s[:rho, np.newaxis] * vh[:rho]  # (rho, b*r1)
         if enrichment:
@@ -662,7 +659,7 @@ def shift_block_core(
     else:
         mat = g.transpose(0, 2, 1, 3).reshape(r0 * b, n * r1)
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        rho = _truncation_rank(s, 0.0, target_rank, sv_floor)
+        rho = _truncation_rank(s, 0.0, target_rank)
         core = vh[:rho]  # (rho, n*r1), orthonormal rows
         coef = u[:, :rho] * s[np.newaxis, :rho]  # (r0*b, rho)
         if enrichment:
@@ -680,10 +677,10 @@ def shift_block_core(
     return x
 
 
-def block_columns_dense(x: BlockTT, cap: int = DENSE_CAP) -> np.ndarray:
+def block_columns_dense(x: BlockTT) -> np.ndarray:
     """Densify all block columns into a matrix (testing aid)."""
     total = int(np.prod(x.mode_sizes, dtype=np.int64))
-    if total * x.block_size > cap:
+    if total * x.block_size > DENSE_CAP:
         raise CapExceededError("dense block would exceed cap")
     return np.stack([densify(x.column(i)) for i in range(x.block_size)], axis=1)
 

@@ -1,14 +1,16 @@
 """Command-line front end: files, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ttmep.cli import main
+from ttmep.cli import CONFIG_FLAGS, _build_parser, main
 from ttmep.mep_problem import generate_random_mep, oracle_eigenvalues, save_problem
 from ttmep.delta_builder import shift_generated
+from ttmep.solver import SolverConfig
 
 
 @pytest.fixture()
@@ -129,6 +131,15 @@ def test_solve_records_config_overrides(tmp_path, small_problem):
     assert report["config"]["sweeps"] == 2
     assert report["config"]["delta_round_tol"] is None
     assert report["config"]["ritz_rule"] == "positive-imag-part"
+
+
+def test_every_config_field_has_a_solve_flag():
+    # --round-tol/--no-round set delta_round_tol; every other field has
+    # exactly one flag, so a field no caller can set fails here
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert sorted(list(CONFIG_FLAGS.values()) + ["delta_round_tol"]) == sorted(fields)
+    args = _build_parser().parse_args(["solve", "p.json", "--out", "o"])
+    assert set(CONFIG_FLAGS) | {"round_tol", "no_round"} <= set(vars(args))
 
 
 def test_oracle_deterministic_and_counts(tmp_path, small_problem):

@@ -57,8 +57,6 @@ def test_generalized_eig_validates_shapes():
 def _result(values):
     lam = np.asarray(values, dtype=complex)
     return GeneralizedEigenResult(
-        alpha=lam,
-        beta=np.ones_like(lam),
         eigenvalues=lam,
         finite=np.ones(lam.shape, dtype=bool),
         right=np.eye(lam.size, dtype=complex),
@@ -95,8 +93,6 @@ def test_select_ritz_imag_rule():
 def test_select_ritz_skips_infinite():
     lam = np.array([np.inf, 2.0, 1.0], dtype=complex)
     res = GeneralizedEigenResult(
-        alpha=np.array([1.0, 2.0, 1.0], dtype=complex),
-        beta=np.array([0.0, 1.0, 1.0], dtype=complex),
         eigenvalues=lam,
         finite=np.array([False, True, True]),
         right=np.eye(3, dtype=complex),

@@ -316,7 +316,7 @@ def test_check_convergence_aborts_on_large_projected_residual():
     coeff = rng.standard_normal((rl, 4, rr))
     walk = check_convergence(state, 0.123, coeff, +1, delta_0, g.problem, config)
     assert not walk.converged and not walk.admitted
-    assert walk.first_hop >= config.eps1
+    assert walk.est_residual >= config.eps1
     assert state.found == []
 
 
@@ -557,6 +557,36 @@ def test_config_validation():
         SolverConfig(block_size=3, max_rank=2)
     with pytest.raises(ValueError):
         SolverConfig(cos_threshold=1.5)
+
+
+def _admitted_per_sweep(report) -> dict[int, int]:
+    per: dict[int, int] = {}
+    for s in report["steps"]:
+        per[s["sweep"]] = per.get(s["sweep"], 0) + s["n_converged_new"]
+    return per
+
+
+def test_solve_stops_after_five_sweeps_without_a_new_tuple():
+    g = generate_random_mep(2, 5, seed=20)
+    work, _, _ = shifted_positive(g)
+    config = SolverConfig(block_size=2, sweeps=30, seed=7)
+    _, report = solve(work, target=0.0, config=config)
+    per = _admitted_per_sweep(report)
+    last_progress = max(sweep for sweep, n in per.items() if n > 0)
+    assert report["sweeps_run"] == last_progress + 5
+    assert report["sweeps_run"] < config.sweeps
+    assert max(per) == report["sweeps_run"]
+
+
+def test_found_list_keeps_four_block_sizes_nearest_the_target():
+    g = generate_random_mep(3, 4, seed=9)
+    work, _, _ = shifted_positive(g)
+    config = SolverConfig(block_size=1, sweeps=30, seed=0)
+    tuples, report = solve(work, target=0.0, config=config)
+    assert sum(_admitted_per_sweep(report).values()) > 4 * config.block_size
+    assert len(tuples) == 4 * config.block_size
+    keys = [abs(t.lam[-1]) for t in tuples]
+    assert keys == sorted(keys)
 
 
 # ---------------------------------------------------------------------------
