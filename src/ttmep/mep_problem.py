@@ -127,6 +127,14 @@ class GeneratedProblem:
         return worst
 
 
+def _equation_matrix(prob: MEProblem, i: int, lam) -> np.ndarray:
+    """A_i - sum_j lam_j B_ij of equation i (0-based), as a complex matrix."""
+    mat = prob.a[i].astype(complex)
+    for j in range(prob.m):
+        mat -= lam[j] * prob.b[i][j]
+    return mat
+
+
 def residual_tuple(prob: MEProblem, lam, vectors):
     """Stacked residual (A_i - sum_j lam_j B_ij) x_i and its max norm."""
     lam = np.asarray(lam, dtype=complex).reshape(-1)
@@ -137,10 +145,7 @@ def residual_tuple(prob: MEProblem, lam, vectors):
         x = np.asarray(vectors[i]).reshape(-1)
         if x.size != prob.sizes[i]:
             raise ValueError(f"vector {i + 1} has wrong length")
-        mat = prob.a[i].astype(complex).copy()
-        for j in range(prob.m):
-            mat -= lam[j] * prob.b[i][j]
-        parts.append(mat @ x)
+        parts.append(_equation_matrix(prob, i, lam) @ x)
     stacked = np.concatenate(parts)
     return stacked, float(np.max(np.abs(stacked))) if stacked.size else 0.0
 
@@ -326,9 +331,7 @@ def trqi_refine(
         new_vectors = []
         failed = False
         for i in range(m):
-            mat = prob.a[i].astype(complex).copy()
-            for j in range(m):
-                mat -= lam[j] * prob.b[i][j]
+            mat = _equation_matrix(prob, i, lam)
             rhs = prob.b[i][m - 1] @ vectors[i]
             try:
                 upd = np.linalg.solve(mat, rhs)
@@ -357,22 +360,16 @@ def trqi_refine(
 
 
 def left_eigenvector_tuple(prob: MEProblem, t: EigenTuple):
-    """Left tuple y_i, computed as a right tuple of the transposed problem.
+    """Left tuple y_i: the left null vectors of A_i - sum_j lam_j B_ij.
 
-    The transposed problem is seeded with the conjugated tuple, so that for
-    real matrices the result satisfies y^H Delta_j x = lam_j y^H Delta_0 x
-    for the original tuple, which is the orientation the duplicate test
-    needs.
+    Each y_i is the left singular vector of the smallest singular value, so
+    y_i^H (A_i - sum_j lam_j B_ij) is as small as the tuple's residual
+    allows, for real and complex matrices alike. These are the left
+    eigenvectors on which the duplicate test's biorthogonality is defined.
     """
-    tprob = MEProblem(
-        a=[mat.T.copy() for mat in prob.a],
-        b=[[mat.T.copy() for mat in row] for row in prob.b],
-    )
-    seed = EigenTuple.build(
-        tprob, np.conj(t.lam), [np.conj(v) for v in t.vectors]
-    )
-    refined = trqi_refine(tprob, seed)
-    return [v.copy() for v in refined.vectors]
+    return [
+        np.linalg.svd(_equation_matrix(prob, i, t.lam))[0][:, -1] for i in range(prob.m)
+    ]
 
 
 def _unit(vectors) -> list[np.ndarray]:

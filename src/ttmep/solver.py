@@ -5,9 +5,12 @@ block iterate with one distinguished core sweeps left-to-right and back,
 solving the projected dense pencil at each mode, picking block_size Ritz
 pairs by a residual/angle heuristic, and transporting single-pair frames
 across the modes to estimate residuals cheaply and to assemble candidate
-eigenvector tuples. Converged tuples are polished by Rayleigh quotient
-iteration, screened against the already-found list, and kept only while
-among the closest to the target.
+eigenvector tuples. The estimate at each mode is the dominant singular
+vector of the transported coefficient's mode unfolding. Converged tuples
+are polished by Rayleigh quotient iteration, given a left tuple (per
+equation the left null vector of A_i - sum_j lam_j B_ij, one SVD each),
+screened against the already-found list, and kept only while among the
+closest to the target.
 """
 
 from __future__ import annotations
@@ -39,13 +42,11 @@ from .tt_core import (
     env_right_step,
     frame_project,
     shift_block_core,
-    _truncation_rank,
+    svd_split,
 )
 
 # solve() stops after this many consecutive sweeps admit no new tuple
 NO_PROGRESS_SWEEPS = 5
-# alternating refinement rounds of rank_one_factor
-REFINE_PASSES = 5
 
 
 @dataclass
@@ -108,7 +109,6 @@ class SweepState:
     found: list[EigenTuple] = field(default_factory=list)
     estimates: dict[int, list[np.ndarray]] = field(default_factory=dict)
     sweep: int = 0
-    new_found_this_sweep: int = 0
 
 
 @dataclass
@@ -128,12 +128,12 @@ class _Candidate:
 # rank-one factorization of a coefficient tensor
 
 
-def rank_one_factor(tensor: np.ndarray):
-    """Best-effort rank-one split T ~ a (x) mid (x) c of a 3-way tensor.
+def rank_one_factor(tensor: np.ndarray) -> np.ndarray:
+    """Unit middle-mode factor of a 3-way tensor: its dominant mode-2 vector.
 
-    Two nested rank-1 SVD truncations seed an alternating refinement (at
-    most ``REFINE_PASSES`` rounds, monotone in Frobenius error). The middle
-    factor is returned with unit norm; ``a`` carries the scale.
+    The leading left singular vector of the mode-2 unfolding (the middle
+    index against the two bond indices) is the middle factor of the
+    truncated multilinear SVD, and exact for a rank-one tensor.
     """
     t = np.asarray(tensor)
     if t.ndim != 3:
@@ -141,61 +141,8 @@ def rank_one_factor(tensor: np.ndarray):
     rl, n, rr = t.shape
     if np.linalg.norm(t) == 0:
         raise ValueError("zero tensor has no rank-one factor")
-    tm = t.reshape(rl, n * rr)
-    u, s, vh = np.linalg.svd(tm, full_matrices=False)
-    a = u[:, 0]
-    rest = (s[0] * vh[0]).reshape(n, rr)
-    u2, s2, vh2 = np.linalg.svd(rest, full_matrices=False)
-    mid = u2[:, 0]
-    c = vh2[0]
-    scale = s2[0]
-
-    def err(scale_, a_, mid_, c_):
-        return np.linalg.norm(tm - scale_ * np.outer(a_, np.outer(mid_, c_).ravel()))
-
-    best = (scale, a, mid, c)
-    best_err = err(*best)
-    for _ in range(REFINE_PASSES):
-        a_new = tm @ np.outer(np.conj(mid), np.conj(c)).ravel()
-        na = np.linalg.norm(a_new)
-        if na == 0:
-            break
-        a = a_new / na
-        ta = (np.conj(a) @ tm).reshape(n, rr)
-        m_new = ta @ np.conj(c)
-        nm = np.linalg.norm(m_new)
-        if nm == 0:
-            break
-        mid = m_new / nm
-        c_new = np.conj(mid) @ ta
-        nc = np.linalg.norm(c_new)
-        if nc == 0:
-            break
-        c = c_new / nc
-        scale = complex(c_new @ np.conj(c))
-        e = err(scale, a, mid, c)
-        if e < best_err - 1e-15:
-            best, best_err = (scale, a, mid, c), e
-        else:
-            break
-    scale, a, mid, c = best
-    return a * scale, mid, c
-
-
-def _split_forward(v: np.ndarray):
-    a, n, c = v.shape
-    u, s, vh = np.linalg.svd(v.reshape(a * n, c), full_matrices=False)
-    rho = _truncation_rank(s, 0.0)
-    carry = s[:rho, np.newaxis] * vh[:rho]
-    return u[:, :rho].reshape(a, n, rho), carry
-
-
-def _split_backward(v: np.ndarray):
-    a, n, c = v.shape
-    u, s, vh = np.linalg.svd(v.reshape(a, n * c), full_matrices=False)
-    rho = _truncation_rank(s, 0.0)
-    carry = u[:, :rho] * s[np.newaxis, :rho]
-    return vh[:rho].reshape(rho, n, c), carry
+    unfolding = t.transpose(1, 0, 2).reshape(n, rl * rr)
+    return np.linalg.svd(unfolding, full_matrices=False)[0][:, 0]
 
 
 class _ChainWalker:
@@ -225,15 +172,18 @@ class _ChainWalker:
             raise IndexError("walked past the boundary")
         op_m = self.env_m.op
         op_0 = self.env_0.op
+        a, n, c = self.v.shape
         if direction == +1:
-            chain_core, carry = _split_forward(self.v)
+            chain_core, carry = svd_split(self.v.reshape(a * n, c), +1)
+            chain_core = chain_core.reshape(a, n, -1)
             self.lm = env_left_step(self.lm, chain_core, op_m.cores[self.pos], chain_core)
             self.l0 = env_left_step(self.l0, chain_core, op_0.cores[self.pos], chain_core)
             self.v = np.einsum("sc,cjt->sjt", carry, self.cores[nxt])
             self.rm = self.env_m.right[nxt]
             self.r0 = self.env_0.right[nxt]
         else:
-            chain_core, carry = _split_backward(self.v)
+            chain_core, carry = svd_split(self.v.reshape(a, n * c), -1)
+            chain_core = chain_core.reshape(-1, n, c)
             self.rm = env_right_step(self.rm, chain_core, op_m.cores[self.pos], chain_core)
             self.r0 = env_right_step(self.r0, chain_core, op_0.cores[self.pos], chain_core)
             self.v = np.einsum("xja,as->xjs", self.cores[nxt], carry)
@@ -292,7 +242,7 @@ def check_convergence(
     k = state.x.block_index
     unit = np.asarray(coeff)
     unit = unit / np.linalg.norm(unit)
-    middle = rank_one_factor(unit)[1]
+    middle = rank_one_factor(unit)
     estimates: dict[int, np.ndarray] = {k: middle}
     first_hop = np.inf
     transported_middle = None
@@ -303,10 +253,10 @@ def check_convergence(
             res = walker.hop(phase_dir, mu)
             if transported_middle is None:
                 first_hop = res
-                transported_middle = rank_one_factor(walker.v)[1]
+                transported_middle = rank_one_factor(walker.v)
                 estimates[walker.pos] = transported_middle
             elif res < config.eps1:
-                estimates[walker.pos] = rank_one_factor(walker.v)[1]
+                estimates[walker.pos] = rank_one_factor(walker.v)
             if res >= config.eps1:
                 aborted = True
                 break
@@ -336,7 +286,6 @@ def check_convergence(
     state.found.append(t)
     state.found.sort(key=lambda f: (abs(f.lam[-1]), f.lam[-1].real, f.lam[-1].imag))
     del state.found[keep:]
-    state.new_found_this_sweep += 1
     cand.admitted = True
     return cand
 
@@ -479,7 +428,6 @@ def sweep_step(
     rl = x.cores[k].shape[0]
     n_k = x.cores[k].shape[1]
     rr = x.cores[k].shape[3]
-    new_before = state.new_found_this_sweep
     candidates = []
     for i in indices:
         vec = geig.right[:, i]
@@ -516,7 +464,7 @@ def sweep_step(
         projected_size=dim,
         n_candidates=len(indices),
         n_selected=len(selected),
-        n_converged_new=state.new_found_this_sweep - new_before,
+        n_converged_new=sum(c.admitted for c in candidates),
         wall_ms=1e3 * (time.perf_counter() - t_start),
         phase_ms={
             "projection": 1e3 * t_proj,
@@ -552,7 +500,7 @@ def solve(
     sweeps_run = 0
     for sweep in range(1, config.sweeps + 1):
         state.sweep = sweep
-        state.new_found_this_sweep = 0
+        first_step = len(records)
         for direction, modes in ((+1, range(m - 1)), (-1, range(m - 1, 0, -1))):
             state.estimates.clear()  # estimates are one step ahead only
             for mode in modes:
@@ -561,7 +509,7 @@ def solve(
                     sweep_step(state, delta_m, delta_0, work, config, direction)
                 )
         sweeps_run = sweep
-        if state.new_found_this_sweep > 0:
+        if any(r.n_converged_new for r in records[first_step:]):
             last_progress_sweep = sweep
         if sweep - last_progress_sweep >= NO_PROGRESS_SWEEPS:
             break

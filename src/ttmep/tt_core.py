@@ -421,6 +421,20 @@ def _truncation_rank(s: np.ndarray, budget: float, max_rank=None) -> int:
     return max(1, r)
 
 
+def svd_split(mat: np.ndarray, direction: int, max_rank: int | None = None):
+    """Split ``mat`` by an SVD truncated to its numerical rank (and the cap).
+
+    Returns (q, carry) with mat ~ q @ carry for direction +1 (q has
+    orthonormal columns) and mat ~ carry @ q for -1 (q has orthonormal
+    rows); the singular values go into ``carry``.
+    """
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    rho = _truncation_rank(s, 0.0, max_rank)
+    if direction == +1:
+        return u[:, :rho], s[:rho, np.newaxis] * vh[:rho]
+    return vh[:rho], u[:, :rho] * s[np.newaxis, :rho]
+
+
 def tt_round(
     v: TTVector,
     tol: float,
@@ -454,16 +468,12 @@ def tt_round(
     return out
 
 
-def tt_round_operator(
-    a: TTOperator,
-    tol: float,
-    max_rank: int | None = None,
-) -> TTOperator:
+def tt_round_operator(a: TTOperator, tol: float) -> TTOperator:
     """Rounding for operators: each core is rounded with its modes fused."""
     fused = TTVector(
         [g.reshape(g.shape[0], g.shape[1] * g.shape[2], g.shape[3]) for g in a.cores]
     )
-    rounded = tt_round(fused, tol, max_rank=max_rank)
+    rounded = tt_round(fused, tol)
     sizes = a.mode_sizes
     cores = [
         g.reshape(g.shape[0], sizes[k], sizes[k], g.shape[2])
@@ -639,11 +649,7 @@ def shift_block_core(
     g = x.cores[k]
     r0, n, b, r1 = g.shape
     if direction == +1:
-        mat = g.reshape(r0 * n, b * r1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        rho = _truncation_rank(s, 0.0, target_rank)
-        u = u[:, :rho]
-        coef = s[:rho, np.newaxis] * vh[:rho]  # (rho, b*r1)
+        u, coef = svd_split(g.reshape(r0 * n, b * r1), +1, target_rank)
         if enrichment:
             extra = _orthonormal_extension(u, enrichment, rng)
             u = np.concatenate([u, extra], axis=1)
@@ -658,10 +664,7 @@ def shift_block_core(
         x.block_index = k + 1
     else:
         mat = g.transpose(0, 2, 1, 3).reshape(r0 * b, n * r1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        rho = _truncation_rank(s, 0.0, target_rank)
-        core = vh[:rho]  # (rho, n*r1), orthonormal rows
-        coef = u[:, :rho] * s[np.newaxis, :rho]  # (r0*b, rho)
+        core, coef = svd_split(mat, -1, target_rank)  # core has orthonormal rows
         if enrichment:
             extra = _orthonormal_extension(core.T, enrichment, rng)
             core = np.concatenate([core, extra.T], axis=0)

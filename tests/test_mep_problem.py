@@ -327,6 +327,26 @@ def test_left_tuple_residual_on_transposed_problem():
     assert norm < 1e-6
 
 
+def test_left_tuple_on_complex_matrices():
+    # rows scaled by complex S_i keep the tuples and right vectors; the left
+    # vectors must annihilate the complex A_i - sum_j lam_j B_ij from the left
+    g = generate_random_mep(2, 4, seed=5)
+    rng = np.random.default_rng(1)
+    scales = [np.eye(4) + 0.5j * rng.standard_normal((4, 4)) for _ in range(2)]
+    prob = MEProblem(
+        a=[s @ a for s, a in zip(scales, g.problem.a)],
+        b=[[s @ b for b in row] for s, row in zip(scales, g.problem.b)],
+    )
+    tuples, _ = oracle_eigenvalues(g, 3, target=0.0)
+    assert len(tuples) == 3
+    for t in tuples:
+        y = left_eigenvector_tuple(prob, t)
+        for i in range(2):
+            mat = prob.a[i] - sum(t.lam[j] * prob.b[i][j] for j in range(2))
+            assert abs(np.linalg.norm(y[i]) - 1) <= 1e-12
+            assert np.linalg.norm(np.conj(y[i]) @ mat) <= 1e-12 * np.linalg.norm(mat, 2)
+
+
 def test_duplicate_check_biorthogonality_and_rejection():
     g = generate_random_mep(3, 4, seed=22)
     tuples, _ = oracle_eigenvalues(g, 2, target=0.0)

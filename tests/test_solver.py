@@ -5,8 +5,6 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ttmep.delta_builder import apply_shift, build_delta0, build_delta_i
 from ttmep.mep_problem import (
@@ -99,68 +97,16 @@ def test_init_iterate_seeded_determinism():
 
 def test_rank_one_factor_exact_recovery():
     rng = np.random.default_rng(2)
-    a = rng.standard_normal(3)
-    mid = rng.standard_normal(5)
-    c = rng.standard_normal(2)
-    t = np.einsum("a,i,b->aib", a, mid, c)
-    fa, fm, fc = rank_one_factor(t)
-    assert abs(np.vdot(fm, mid / np.linalg.norm(mid))) >= 1 - 1e-12
-    approx = np.einsum("a,i,b->aib", fa, fm, fc)
-    assert np.linalg.norm(approx - t) <= 1e-12 * np.linalg.norm(t)
-
-
-def test_rank_one_factor_never_worse_than_two_svds():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        t = rng.standard_normal((3, 4, 3))
-        u, s, vh = np.linalg.svd(t.reshape(3, 12), full_matrices=False)
-        a0 = u[:, 0]
-        rest = (s[0] * vh[0]).reshape(4, 3)
-        u2, s2, vh2 = np.linalg.svd(rest, full_matrices=False)
-        base = np.einsum("a,i,b->aib", a0, s2[0] * u2[:, 0], vh2[0])
-        base_err = np.linalg.norm(t - base)
-        fa, fm, fc = rank_one_factor(t)
-        err = np.linalg.norm(t - np.einsum("a,i,b->aib", fa, fm, fc))
-        assert err <= base_err + 1e-12
-
-
-def _two_svd_seed_error(t):
-    rl, n, rr = t.shape
-    u, s, vh = np.linalg.svd(t.reshape(rl, n * rr), full_matrices=False)
-    rest = (s[0] * vh[0]).reshape(n, rr)
-    u2, s2, vh2 = np.linalg.svd(rest, full_matrices=False)
-    seed = np.einsum("a,i,b->aib", u[:, 0], s2[0] * u2[:, 0], vh2[0])
-    return np.linalg.norm(t - seed)
-
-
-@pytest.mark.parametrize("complex_", [False, True])
-def test_rank_one_factor_refinement_improves_on_generic_tensors(complex_):
-    # a refinement pass that conjugates the wrong factor stops at the seed
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        t = rng.standard_normal((3, 4, 3))
+    for complex_ in (False, True):
+        a, mid, c = (rng.standard_normal(k) for k in (3, 5, 2))
         if complex_:
-            t = t + 1j * rng.standard_normal((3, 4, 3))
-        fa, fm, fc = rank_one_factor(t)
-        err = np.linalg.norm(t - np.einsum("a,i,b->aib", fa, fm, fc))
-        assert err < _two_svd_seed_error(t) - 1e-6
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4)),
-    complex_=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_rank_one_factor_error_never_exceeds_two_svd_seed(shape, complex_, seed):
-    rng = np.random.default_rng(seed)
-    t = rng.standard_normal(shape)
-    if complex_:
-        t = t + 1j * rng.standard_normal(shape)
-    fa, fm, fc = rank_one_factor(t)
-    assert abs(np.linalg.norm(fm) - 1) <= 1e-12
-    err = np.linalg.norm(t - np.einsum("a,i,b->aib", fa, fm, fc))
-    assert err <= _two_svd_seed_error(t) + 1e-12 * np.linalg.norm(t)
+            a, mid, c = (v + 1j * rng.standard_normal(v.size) for v in (a, mid, c))
+        t = np.einsum("a,i,b->aib", a, mid, c)
+        fm = rank_one_factor(t)
+        assert fm.shape == (5,)
+        assert abs(np.linalg.norm(fm) - 1) <= 1e-12
+        # equal to the unit middle factor up to a phase
+        assert abs(np.vdot(fm, mid / np.linalg.norm(mid))) >= 1 - 1e-12
 
 
 def test_rank_one_factor_extracts_tuple_component_in_frame():
@@ -177,7 +123,7 @@ def test_rank_one_factor_extracts_tuple_component_in_frame():
         )
     )
     coeff = (fd.T @ x_full).reshape(1, 4, 1)
-    _, mid, _ = rank_one_factor(coeff)
+    mid = rank_one_factor(coeff)
     ref = np.real(t.vectors[0])
     ref = ref / np.linalg.norm(ref)
     assert abs(np.vdot(mid, ref)) >= 1 - 1e-8
@@ -622,8 +568,7 @@ def test_walk_kernels_plan_no_einsum_path(monkeypatch):
     a = TTOperator([rng.standard_normal((1, 4, 4, 3)), rng.standard_normal((3, 4, 4, 1))])
     vecs = [rng.standard_normal(4), rng.standard_normal(4)]
     assert np.isfinite(rank_one_bilinear(vecs, a, vecs))
-    fa, fm, fc = rank_one_factor(core)
-    assert fa.shape == (2,) and fm.shape == (4,) and fc.shape == (2,)
+    assert rank_one_factor(core).shape == (4,)
 
 
 def test_admitting_walk_plans_no_einsum_path(monkeypatch):

@@ -34,6 +34,7 @@ from ttmep.tt_core import (
     rank_one_bilinear,
     right_orthonormalize_core,
     shift_block_core,
+    svd_split,
     tt_from_bytes,
     tt_from_json,
     tt_matvec,
@@ -458,6 +459,22 @@ def test_rank_one_bilinear_matches_dense(complex_):
 
 # ---------------------------------------------------------------------------
 # block shifts
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_svd_split_numerical_rank_and_cap(direction):
+    rng = np.random.default_rng(41)
+    mat = rng.standard_normal((6, 3)) @ (
+        rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    )
+    q, carry = svd_split(mat, direction)
+    rebuilt = q @ carry if direction == +1 else carry @ q
+    gram = np.conj(q.T) @ q if direction == +1 else q @ np.conj(q.T)
+    assert gram.shape == (3, 3)
+    assert np.abs(gram - np.eye(3)).max() <= 1e-12
+    assert np.linalg.norm(rebuilt - mat) <= 1e-12 * np.linalg.norm(mat)
+    q, carry = svd_split(mat, direction, max_rank=2)
+    assert (q.shape, carry.shape) == (((6, 2), (2, 5)) if direction == +1 else ((2, 5), (6, 2)))
 
 
 def test_shift_preserves_single_rank_one_column():
