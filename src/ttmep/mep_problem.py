@@ -391,21 +391,31 @@ def duplicate_check(
 
     Ratio |y_p^H D0 x_hat| / |y_p^H D0 x_p| is evaluated purely from the
     rank-one tuples and the train form of D0; the denominator is taken from
-    ``delta0_den`` where the tuple carries one. Returns (accept,
-    worst_ratio); vanishing denominators reject with an infinite ratio.
+    ``delta0_den`` where the tuple carries one. The numerators of all found
+    tuples come from one ``rank_one_bilinear`` pass over their stacked left
+    vectors, so D0 meets the candidate once per core rather than once per
+    found tuple. Returns (accept, worst_ratio); vanishing denominators
+    reject with an infinite ratio.
     """
+    if any(prev.left_vectors is None for prev in found):
+        raise ValueError("found tuple lacks left vectors")
+    if not found:
+        return 0.0 < xi, 0.0
     cand = _unit([np.asarray(v).reshape(-1) for v in candidate_vectors])
-    worst = 0.0
-    for prev in found:
-        if prev.left_vectors is None:
-            raise ValueError("found tuple lacks left vectors")
-        num = abs(rank_one_bilinear(_unit(prev.left_vectors), delta0, cand))
-        den = prev.delta0_den
-        if den is None:
-            den = screen_denominator(prev, delta0)
-        if den < 1e-14 * max(1.0, num):
-            return False, float("inf")
-        worst = max(worst, num / den)
+    stacks = [np.stack(ys) for ys in zip(*(prev.left_vectors for prev in found))]
+    stacks = [y / np.linalg.norm(y, axis=1, keepdims=True) for y in stacks]
+    nums = np.abs(rank_one_bilinear(stacks, delta0, cand))
+    dens = np.array(
+        [
+            prev.delta0_den
+            if prev.delta0_den is not None
+            else screen_denominator(prev, delta0)
+            for prev in found
+        ]
+    )
+    if np.any(dens < 1e-14 * np.maximum(1.0, nums)):
+        return False, float("inf")
+    worst = float(np.max(nums / dens))
     return worst < xi, worst
 
 

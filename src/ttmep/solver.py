@@ -486,8 +486,10 @@ def solve(
     The problem is shifted so the target sits at zero, swept until the
     sweep cap or until ``NO_PROGRESS_SWEEPS`` sweeps pass without a new
     tuple, and the found lambda_m values are shifted back. At most the
-    ``4 * block_size`` tuples nearest the target are kept. Returns
-    (tuples sorted by |lambda_m - target|, report dict).
+    ``4 * block_size`` tuples nearest the target are kept. The report's
+    ``stop_reason`` says which of the two ended the loop: ``"sweep_cap"``
+    or ``"no_progress"``. Returns (tuples sorted by |lambda_m - target|,
+    report dict).
     """
     config = config or SolverConfig()
     work = apply_shift(prob, -target) if target != 0.0 else prob
@@ -498,6 +500,7 @@ def solve(
     records: list[StepRecord] = []
     last_progress_sweep = 0
     sweeps_run = 0
+    stop_reason = "sweep_cap"
     for sweep in range(1, config.sweeps + 1):
         state.sweep = sweep
         first_step = len(records)
@@ -512,6 +515,7 @@ def solve(
         if any(r.n_converged_new for r in records[first_step:]):
             last_progress_sweep = sweep
         if sweep - last_progress_sweep >= NO_PROGRESS_SWEEPS:
+            stop_reason = "no_progress"
             break
     shift = np.zeros(m, dtype=complex)
     shift[m - 1] = target
@@ -531,6 +535,7 @@ def solve(
         "target": target,
         "config": _config_dict(config),
         "sweeps_run": sweeps_run,
+        "stop_reason": stop_reason,
         "delta_ranks": {"delta_m": list(delta_m.ranks), "delta_0": list(delta_0.ranks)},
         "steps": [{**asdict(r), "ranks": list(r.ranks)} for r in records],
         "tuples": [

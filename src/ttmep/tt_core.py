@@ -317,13 +317,21 @@ def tt_matvec(a: TTOperator, v: TTVector) -> TTVector:
     return TTVector(cores)
 
 
-def rank_one_bilinear(y_vectors, a: TTOperator, x_vectors) -> float | complex:
-    """y^H A x for rank-one tuples given by their per-mode vectors."""
-    acc = np.ones((1, 1))
+def rank_one_bilinear(y_vectors, a: TTOperator, x_vectors):
+    """y^H A x for rank-one tuples given by their per-mode vectors.
+
+    ``y_vectors[k]`` is one mode vector (n_k,), or a stack (q, n_k) of the
+    mode-k vectors of q bras, in which case the q forms are returned as an
+    array (q,). Per mode the operator core meets x_k once, whatever q is,
+    and the q accumulators then advance in one matrix product.
+    """
+    acc = np.ones((1, 1))  # (q, r_{k-1})
     for yk, gk, xk in zip(y_vectors, a.cores, x_vectors):
-        yg = np.tensordot(np.conj(yk), gk, ([0], [1]))  # (a, j, b)
-        acc = acc @ np.tensordot(yg, xk, ([1], [0]))
-    return acc[0, 0]
+        z = xk @ gk  # (r_{k-1}, n_k, r_k): the core applied to x_k
+        ra, n, rb = z.shape
+        w = acc[:, :, np.newaxis] * np.conj(yk).reshape(-1, 1, n)  # (q, r_{k-1}, n_k)
+        acc = w.reshape(-1, ra * n) @ z.reshape(ra * n, rb)
+    return acc[:, 0] if np.ndim(y_vectors[0]) == 2 else acc[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,27 +498,51 @@ def tt_round_operator(a: TTOperator, tol: float) -> TTOperator:
 # environment R[u, c, v] does the same to the right. The projected operator
 # at the open position is then L * A_k * R.
 #
-# The environment kernels are fixed chains of pairwise tensordot calls, so
-# each contraction is one BLAS product and no einsum path is planned per
-# call. With frame ranks r, operator ranks R and mode size n, a step first
-# contracts the ket bond (r^3 R n flops), then the operator's left bond
-# and column index (r^2 R^2 n^2), then the bra bond and row index
-# (r^3 R n): O(n r^2 R (r + n R)) in all. A single loop over all eight
-# indices, which numpy's greedy path picks at the walk's small shapes,
-# costs r^4 R^2 n^2. ``env_apply`` runs the same chain with the right
-# environment in place of the bra.
+# The environment kernels are fixed chains of reshapes and ``ndarray.dot``
+# calls: each does exactly what the pairwise ``np.tensordot`` it replaces
+# does (summed axes of the first operand moved last and of the second
+# first, both reshaped to matrices, one ``dot``), minus tensordot's per-call
+# axis bookkeeping. The operands reach BLAS in the same layouts, so the
+# results are tensordot's bit for bit; this matters because the cached
+# environments feed ``frame_project`` and the pencil solve, which moves
+# with any rounding-level change. With frame ranks r, operator ranks R and
+# mode size n, a step contracts the ket bond (r^3 R n flops), then the
+# operator's left bond and column index (r^2 R^2 n^2), then the bra bond and
+# row index (r^3 R n): O(n r^2 R (r + n R)) in all, against r^4 R^2 n^2 for
+# the single eight-index loop numpy's greedy einsum path picks at the walk's
+# small shapes. ``env_apply`` runs the same chain with the right environment
+# in place of the bra.
+
+
+def _ket_then_op(env, ket, op):
+    """First two products of a step, (env * ket) * op, as (x, v, i, c)."""
+    x, a, y = env.shape
+    _, j, v = ket.shape
+    _, i, _, c = op.shape
+    t = env.reshape(x * a, y).dot(ket.reshape(y, j * v))
+    t = t.reshape(x, a, j, v).transpose(0, 3, 1, 2).reshape(x * v, a * j)
+    return t.dot(op.transpose(0, 2, 1, 3).reshape(a * j, i * c)).reshape(x, v, i, c)
 
 
 def env_left_step(env, bra, op, ket):
-    t = np.tensordot(env, ket, ([2], [0]))  # (x, a, j, v)
-    t = np.tensordot(t, op, ([1, 2], [0, 2]))  # (x, v, i, c)
-    return np.tensordot(np.conj(bra), t, ([0, 1], [0, 2])).transpose(0, 2, 1)
+    t = _ket_then_op(env, ket, op)  # (x, v, i, c)
+    x, v, i, c = t.shape
+    w = bra.shape[2]
+    t = t.transpose(0, 2, 1, 3).reshape(x * i, v * c)
+    out = np.conj(bra).transpose(2, 0, 1).reshape(w, x * i).dot(t)
+    return out.reshape(w, v, c).transpose(0, 2, 1)
 
 
 def env_right_step(env, bra, op, ket):
-    t = np.tensordot(ket, env, ([2], [2]))  # (y, j, u, c)
-    t = np.tensordot(op, t, ([2, 3], [1, 3]))  # (a, i, y, u)
-    return np.tensordot(np.conj(bra), t, ([1, 2], [1, 3]))
+    u, c, v = env.shape
+    y, j, _ = ket.shape
+    a, i = op.shape[:2]
+    x = bra.shape[0]
+    t = ket.reshape(y * j, v).dot(env.transpose(2, 0, 1).reshape(v, u * c))
+    t = t.reshape(y, j, u, c).transpose(1, 3, 0, 2).reshape(j * c, y * u)
+    t = op.reshape(a * i, j * c).dot(t)  # (a, i, y, u)
+    t = t.reshape(a, i, y, u).transpose(1, 3, 0, 2).reshape(i * u, a * y)
+    return np.conj(bra).reshape(x, i * u).dot(t).reshape(x, a, y)
 
 
 class FrameEnvCache:
@@ -555,9 +587,11 @@ class FrameEnvCache:
 
 def env_apply(left, op_core, right, y: np.ndarray) -> np.ndarray:
     """(L * A_k * R) y with y given as the (r_l, n, r_r) coefficient tensor."""
-    t = np.tensordot(left, y, ([2], [0]))  # (x, a, j, v)
-    t = np.tensordot(t, op_core, ([1, 2], [0, 2]))  # (x, v, i, c)
-    return np.tensordot(t, right, ([1, 3], [2, 1]))
+    t = _ket_then_op(left, y, op_core)  # (x, v, i, c)
+    x, v, i, c = t.shape
+    u = right.shape[0]
+    t = t.transpose(0, 2, 1, 3).reshape(x * i, v * c)
+    return t.dot(right.transpose(2, 1, 0).reshape(v * c, u)).reshape(x, i, u)
 
 
 def frame_project(

@@ -19,10 +19,11 @@ from ttmep.mep_problem import (
     problem_to_json,
     residual_tuple,
     save_problem,
+    screen_denominator,
     tensor_rayleigh_quotient,
     trqi_refine,
 )
-from ttmep.tt_core import CapExceededError
+from ttmep.tt_core import CapExceededError, rank_one_bilinear
 
 
 def diagonal_generated(rng, m, n, offset=2.0):
@@ -327,16 +328,26 @@ def test_left_tuple_residual_on_transposed_problem():
     assert norm < 1e-6
 
 
+def _complex_rows(g, seed):
+    """g's problem with each equation's rows scaled by a complex matrix.
+
+    The tuples and right vectors stay those of g; the left vectors and the
+    operator determinants become complex.
+    """
+    rng = np.random.default_rng(seed)
+    n = g.n
+    scales = [np.eye(n) + 0.5j * rng.standard_normal((n, n)) for _ in range(g.m)]
+    return MEProblem(
+        a=[s @ a for s, a in zip(scales, g.problem.a)],
+        b=[[s @ b for b in row] for s, row in zip(scales, g.problem.b)],
+    )
+
+
 def test_left_tuple_on_complex_matrices():
     # rows scaled by complex S_i keep the tuples and right vectors; the left
     # vectors must annihilate the complex A_i - sum_j lam_j B_ij from the left
     g = generate_random_mep(2, 4, seed=5)
-    rng = np.random.default_rng(1)
-    scales = [np.eye(4) + 0.5j * rng.standard_normal((4, 4)) for _ in range(2)]
-    prob = MEProblem(
-        a=[s @ a for s, a in zip(scales, g.problem.a)],
-        b=[[s @ b for b in row] for s, row in zip(scales, g.problem.b)],
-    )
+    prob = _complex_rows(g, seed=1)
     tuples, _ = oracle_eigenvalues(g, 3, target=0.0)
     assert len(tuples) == 3
     for t in tuples:
@@ -374,14 +385,68 @@ def test_duplicate_check_scale_invariance():
     scaled = [7.0 * v for v in second.vectors]
     _, r2 = duplicate_check(scaled, [first], d0)
     assert r1 == pytest.approx(r2, rel=1e-12)
+    # a unit phase as well, on a candidate whose ratio lies far above
+    # rounding: second's ratio is rounding noise, which a phase reshuffles
+    mixed = [f + 0.5 * v for f, v in zip(first.vectors, second.vectors)]
+    _, r1 = duplicate_check(mixed, [first], d0)
+    assert r1 > 1e-3
+    for scale in (7.0, np.exp(0.7j)):
+        _, r2 = duplicate_check([scale * v for v in mixed], [first], d0)
+        assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+def test_duplicate_check_batch_matches_per_tuple_loop():
+    # the one-pass screen over stacked left vectors gives the ratio of a
+    # loop over the found tuples, one rank_one_bilinear per form
+    g = generate_random_mep(3, 3, seed=25)
+    prob = _complex_rows(g, seed=3)
+    d0 = build_delta0(prob, round_tol=None)
+    tuples, _ = oracle_eigenvalues(g, 5, target=0.0)
+    rng = np.random.default_rng(4)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
+    found = []
+    for t, phase in zip(tuples[:4], phases):
+        t.vectors = [phase * v for v in t.vectors]
+        t.left_vectors = left_eigenvector_tuple(prob, t)
+        found.append(t)
+    found[0].delta0_den = screen_denominator(found[0], d0)
+
+    def unit(vs):
+        return [v / np.linalg.norm(v) for v in vs]
+
+    def reference(cand):
+        x = unit(cand)
+        return max(
+            abs(rank_one_bilinear(unit(f.left_vectors), d0, x))
+            / abs(rank_one_bilinear(unit(f.left_vectors), d0, unit(f.vectors)))
+            for f in found
+        )
+
+    noise = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+    candidates = [tuples[4].vectors, [1j * v for v in found[2].vectors], noise]
+    decisions = []
+    for cand in candidates:
+        accept, ratio = duplicate_check(cand, found, d0)
+        ref = reference(cand)
+        # ratios are in units of a duplicate's 1; a new tuple's is noise
+        assert ratio == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert accept == (ref < 1e-4)
+        decisions.append(accept)
+    assert decisions == [True, False, False]
 
 
 def test_duplicate_check_requires_left_vectors():
     g = generate_random_mep(2, 3, seed=24)
-    tuples, _ = oracle_eigenvalues(g, 1, target=0.0)
+    tuples, _ = oracle_eigenvalues(g, 2, target=0.0)
     d0 = build_delta0(g.problem, round_tol=None)
     with pytest.raises(ValueError):
         duplicate_check(tuples[0].vectors, [tuples[0]], d0)
+    # checked before any form, so a vanishing denominator ahead of the
+    # tuple without left vectors does not hide it
+    tuples[1].left_vectors = left_eigenvector_tuple(g.problem, tuples[1])
+    tuples[1].delta0_den = 0.0
+    with pytest.raises(ValueError):
+        duplicate_check(tuples[0].vectors, [tuples[1], tuples[0]], d0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from ttmep.mep_problem import (
     MEProblem,
     duplicate_check,
     generate_random_mep,
+    left_eigenvector_tuple,
     oracle_eigenvalues,
     screen_denominator,
 )
@@ -494,6 +495,8 @@ def test_solve_empty_result_is_legal():
     tuples, report = solve(g.problem, target=0.0, config=config)
     assert tuples == []
     assert report["tuples"] == []
+    assert report["sweeps_run"] == 1
+    assert report["stop_reason"] == "sweep_cap"
 
 
 def test_config_validation():
@@ -521,6 +524,7 @@ def test_solve_stops_after_five_sweeps_without_a_new_tuple():
     last_progress = max(sweep for sweep, n in per.items() if n > 0)
     assert report["sweeps_run"] == last_progress + 5
     assert report["sweeps_run"] < config.sweeps
+    assert report["stop_reason"] == "no_progress"
     assert max(per) == report["sweeps_run"]
 
 
@@ -554,9 +558,15 @@ def _refuse_einsum_path(monkeypatch):
 
 
 def test_walk_kernels_plan_no_einsum_path(monkeypatch):
-    # the five kernels a candidate walk calls on every hop are fixed
-    # tensordot/matmul chains; an einsum(..., optimize=True) among them
-    # would plan its path on every call and fails here
+    # the five kernels a candidate walk calls on every hop, and the
+    # duplicate screen, are fixed dot/matmul chains; an
+    # einsum(..., optimize=True) among them would plan its path on every
+    # call and fails here
+    g = generate_random_mep(3, 3, seed=26)
+    d0 = build_delta0(g.problem, round_tol=None)
+    tuples, _ = oracle_eigenvalues(g, 4, target=0.0)
+    for t in tuples[:3]:
+        t.left_vectors = left_eigenvector_tuple(g.problem, t)
     _refuse_einsum_path(monkeypatch)
     rng = np.random.default_rng(31)
     env = rng.standard_normal((2, 3, 2))
@@ -569,6 +579,8 @@ def test_walk_kernels_plan_no_einsum_path(monkeypatch):
     vecs = [rng.standard_normal(4), rng.standard_normal(4)]
     assert np.isfinite(rank_one_bilinear(vecs, a, vecs))
     assert rank_one_factor(core).shape == (4,)
+    accept, ratio = duplicate_check(tuples[3].vectors, tuples[:3], d0)
+    assert accept and ratio < 1e-6
 
 
 def test_admitting_walk_plans_no_einsum_path(monkeypatch):

@@ -437,6 +437,61 @@ def test_env_steps_over_all_modes_give_the_bilinear_form(bra_complex, ket_comple
     assert abs(right[0, 0, 0] - ref) <= tol
 
 
+def _tensordot_left_step(env, bra, op, ket):
+    t = np.tensordot(env, ket, ([2], [0]))
+    t = np.tensordot(t, op, ([1, 2], [0, 2]))
+    return np.tensordot(np.conj(bra), t, ([0, 1], [0, 2])).transpose(0, 2, 1)
+
+
+def _tensordot_right_step(env, bra, op, ket):
+    t = np.tensordot(ket, env, ([2], [2]))
+    t = np.tensordot(op, t, ([2, 3], [1, 3]))
+    return np.tensordot(np.conj(bra), t, ([1, 2], [1, 3]))
+
+
+def _tensordot_apply(left, op_core, right, y):
+    t = np.tensordot(left, y, ([2], [0]))
+    t = np.tensordot(t, op_core, ([1, 2], [0, 2]))
+    return np.tensordot(t, right, ([1, 3], [2, 1]))
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and (
+        got.tobytes() == want.tobytes()
+    )
+
+
+@pytest.mark.parametrize("bra_complex,ket_complex", BRA_KET)
+def test_env_kernels_equal_tensordot_chains_bit_for_bit(bra_complex, ket_complex):
+    # the cached environments feed frame_project and the pencil solve, which
+    # moves with any rounding-level change, so every kernel must return
+    # exactly the bytes of the pairwise tensordot chain it mirrors; each
+    # chain starts from the rank-1 boundary and is fed its own outputs
+    rng = np.random.default_rng(24)
+    sizes = (3, 4, 2, 4, 3)
+    a = random_operator(rng, sizes, (5, 7, 6, 4))
+    bra = _chain(rng, sizes, (3, 5, 4, 3), bra_complex)
+    ket = _chain(rng, sizes, (3, 5, 4, 3), ket_complex)
+    m = len(sizes)
+    lefts, rights = [np.ones((1, 1, 1))], [np.ones((1, 1, 1))]
+    ref_left = ref_right = np.ones((1, 1, 1))
+    for p in range(m):
+        ref_left = _tensordot_left_step(ref_left, bra[p], a.cores[p], ket[p])
+        lefts.append(env_left_step(lefts[-1], bra[p], a.cores[p], ket[p]))
+        assert _same_bits(lefts[-1], ref_left)
+        q = m - 1 - p
+        ref_right = _tensordot_right_step(ref_right, bra[q], a.cores[q], ket[q])
+        rights.append(env_right_step(rights[-1], bra[q], a.cores[q], ket[q]))
+        assert _same_bits(rights[-1], ref_right)
+    for k in range(m):
+        left, right = lefts[k], rights[m - 1 - k]
+        y = rng.standard_normal((left.shape[2], sizes[k], right.shape[2]))
+        if ket_complex:
+            y = y + 1j * rng.standard_normal(y.shape)
+        got = env_apply(left, a.cores[k], right, y)
+        assert _same_bits(got, _tensordot_apply(left, a.cores[k], right, y))
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 def test_rank_one_bilinear_matches_dense(complex_):
     rng = np.random.default_rng(23)
@@ -455,6 +510,15 @@ def test_rank_one_bilinear_matches_dense(complex_):
     ref = np.vdot(yd, ad @ xd)
     tol = 1e-12 * np.linalg.norm(yd) * np.linalg.norm(ad, 2) * np.linalg.norm(xd)
     assert abs(rank_one_bilinear(ys, a, xs) - ref) <= tol
+    # stacked bras: one form per row, in row order
+    bras = [[vec(n) for n in sizes] for _ in range(3)] + [ys]
+    stacks = [np.stack([b[k] for b in bras]) for k in range(len(sizes))]
+    forms = rank_one_bilinear(stacks, a, xs)
+    assert forms.shape == (len(bras),)
+    for b, form in zip(bras, forms):
+        bd = functools.reduce(np.kron, b)
+        tol = 1e-12 * np.linalg.norm(bd) * np.linalg.norm(ad, 2) * np.linalg.norm(xd)
+        assert abs(form - np.vdot(bd, ad @ xd)) <= tol
 
 
 # ---------------------------------------------------------------------------
