@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .mep_problem import GeneratedProblem, MEProblem
-from .tt_core import TTOperator, tt_round_operator
+from .tt_core import TTOperator, _round_cores
 
 
 def determinant_factor(k: int, n: int, a: np.ndarray) -> np.ndarray:
@@ -30,37 +30,50 @@ def determinant_factor(k: int, n: int, a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a row of length {n}, got {a.size}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    # D is linear in a: contract the cached basis stack with the row.
-    return np.einsum("l,lab->ab", a, _factor_basis(k, n))
+    row_of, row, col, sign = _factor_pattern(k, n)
+    out = np.zeros((comb(n, k - 1), comb(n, k)))
+    out[row, col] = sign * a[row_of]
+    return out
 
 
 @lru_cache(maxsize=None)
-def _factor_basis(k: int, n: int) -> np.ndarray:
-    """Stack of D_{k,n}(e_l) over the n unit rows, shape (n, C(n,k-1), C(n,k))."""
-    out = np.zeros((n, comb(n, k - 1), comb(n, k)))
+def _factor_pattern(k: int, n: int) -> tuple[np.ndarray, ...]:
+    """Nonzeros of D_{k,n}(a) as (l, row, col, sign): D[row, col] = sign * a[l].
+
+    D is linear in a, each entry depends on at most one a_l, and the
+    coefficient is +-1, so these four arrays describe it completely. They
+    are cached and shared, hence read-only.
+    """
     if k == 1:
-        for l in range(n):
-            out[l, 0, l] = 1.0
+        l = np.arange(n)
+        pattern = (l, np.zeros(n, dtype=int), l, np.ones(n))
     elif k == n:
-        for l in range(n):
-            out[l, n - 1 - l, 0] = (-1.0) ** (n - 1 - l)
+        l = np.arange(n)
+        pattern = (l, n - 1 - l, np.zeros(n, dtype=int), (-1.0) ** (n - 1 - l))
     else:
-        top = _factor_basis(k - 1, n - 1)  # acts on a(2:), C(n-1,k-2) x C(n-1,k-1)
-        bot = _factor_basis(k, n - 1)  # acts on a(2:), C(n-1,k-1) x C(n-1,k)
-        rt, ct = top.shape[1:]
-        rb, cb = bot.shape[1:]
-        out[0, rt : rt + rb, :ct] = (-1.0) ** (k - 1) * np.eye(ct)
-        out[1:, :rt, :ct] = top
-        out[1:, rt:, ct:] = bot
-    return out
+        # a_1 couples the two blocks through a signed identity; a(2:) feeds
+        # the factors of order n-1 on the diagonal blocks
+        top = _factor_pattern(k - 1, n - 1)  # C(n-1,k-2) x C(n-1,k-1)
+        bot = _factor_pattern(k, n - 1)  # C(n-1,k-1) x C(n-1,k)
+        rt, ct = comb(n - 1, k - 2), comb(n - 1, k - 1)
+        eye = np.arange(ct)
+        pattern = (
+            np.concatenate([np.zeros(ct, dtype=int), top[0] + 1, bot[0] + 1]),
+            np.concatenate([rt + eye, top[1], bot[1] + rt]),
+            np.concatenate([eye, top[2], bot[2] + ct]),
+            np.concatenate([np.full(ct, (-1.0) ** (k - 1)), top[3], bot[3]]),
+        )
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern
 
 
 def build_delta0(prob: MEProblem, round_tol: float | None = 1e-13) -> TTOperator:
     """Train operator equal to the signed sum over permutations of
     kron(B_{1,sigma_1}, ..., B_{m,sigma_m}).
 
-    Core k contracts the determinant-factor basis with the stack
-    [B_{k1}(i,j), ..., B_{km}(i,j)], giving interior ranks exactly C(m, k)
+    Core k places the stack [B_{k1}(i,j), ..., B_{km}(i,j)] on the nonzero
+    pattern of the determinant factor, giving interior ranks exactly C(m, k)
     before rounding. Rounding (default tolerance 1e-13) usually reduces the
     ranks to at most n_k^2 and is skippable with ``round_tol=None``.
     """
@@ -80,20 +93,20 @@ def _build_delta(prob, replace_col, round_tol) -> TTOperator:
     m = prob.m
     cores = []
     for k in range(m):
-        n = prob.sizes[k]
         stack = np.stack(
             [
                 prob.a[k] if l == replace_col else prob.b[k][l]
                 for l in range(m)
             ]
         )  # (m, n, n)
-        basis = _factor_basis(k + 1, m)  # (m, C(m,k), C(m,k+1))
-        core = np.einsum("lij,lab->aijb", stack, basis, optimize=True)
+        row_of, row, col, sign = _factor_pattern(k + 1, m)
+        values = sign[:, np.newaxis, np.newaxis] * stack[row_of]
+        core = np.zeros((comb(m, k), *stack.shape[1:], comb(m, k + 1)), values.dtype)
+        core[row, :, :, col] = values
         cores.append(core)
-    op = TTOperator(cores)
     if round_tol is not None:
-        op = tt_round_operator(op, round_tol)
-    return op
+        cores = _round_cores(cores, round_tol)  # consumes the unrounded cores
+    return TTOperator(cores)
 
 
 def apply_shift(prob: MEProblem, eta: float) -> MEProblem:

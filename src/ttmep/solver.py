@@ -47,6 +47,8 @@ from .tt_core import (
 
 # solve() stops after this many consecutive sweeps admit no new tuple
 NO_PROGRESS_SWEEPS = 5
+# What a candidate's walk ended as, in the order check_convergence tests them
+WALK_OUTCOMES = ("aborted", "trqi_failed", "keep_cut", "duplicate", "admitted")
 
 
 @dataclass
@@ -98,6 +100,8 @@ class StepRecord:
     wall_ms: float
     phase_ms: dict[str, float] = field(default_factory=dict)
     ranks: tuple[int, ...] = ()
+    padded: bool = False  # select_ritz found too few qualifying Ritz values
+    outcomes: dict[str, int] = field(default_factory=dict)  # per WALK_OUTCOMES
 
 
 @dataclass
@@ -120,8 +124,16 @@ class _Candidate:
     middle: np.ndarray  # rank-one middle factor at the block mode
     est_residual: float  # projected residual after the first hop
     transported_middle: np.ndarray | None
-    converged: bool = False
-    admitted: bool = False
+    outcome: str = "aborted"  # one of WALK_OUTCOMES
+
+    @property
+    def converged(self) -> bool:
+        """TRQI met eps; the tuple is never re-selected, admitted or not."""
+        return self.outcome in ("keep_cut", "duplicate", "admitted")
+
+    @property
+    def admitted(self) -> bool:
+        return self.outcome == "admitted"
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +247,8 @@ def check_convergence(
     tuple (one factor per mode) is refined by Rayleigh quotient iteration,
     tested against the full residual tolerance eps, dropped unless among the
     ``4 * block_size`` closest to the target, screened for duplicates at xi,
-    and inserted into the found list. Returns the pair's candidate record.
+    and inserted into the found list. Returns the pair's candidate record;
+    its ``outcome`` names the test that ended the walk (``WALK_OUTCOMES``).
     """
     cores = state.x.cores
     m = len(cores)
@@ -266,6 +279,7 @@ def check_convergence(
     if aborted or len(estimates) < m:
         return cand
     vectors = [estimates[p] for p in range(m)]
+    cand.outcome = "trqi_failed"
     try:
         lam = tensor_rayleigh_quotient(prob, vectors)
     except SingularRayleighError:
@@ -273,11 +287,12 @@ def check_convergence(
     t = trqi_refine(prob, EigenTuple.build(prob, lam, vectors))
     if not np.isfinite(t.residual_norm) or t.residual_norm >= config.eps:
         return cand
-    cand.converged = True
+    cand.outcome = "keep_cut"
     keep = 4 * config.block_size
     key = abs(t.lam[-1])
     if len(state.found) >= keep and key >= max(abs(f.lam[-1]) for f in state.found):
         return cand
+    cand.outcome = "duplicate"
     accept, _ratio = duplicate_check(t.vectors, state.found, delta_0, config.xi)
     if not accept:
         return cand
@@ -286,7 +301,7 @@ def check_convergence(
     state.found.append(t)
     state.found.sort(key=lambda f: (abs(f.lam[-1]), f.lam[-1].real, f.lam[-1].imag))
     del state.found[keep:]
-    cand.admitted = True
+    cand.outcome = "admitted"
     return cand
 
 
@@ -421,7 +436,7 @@ def sweep_step(
     t0 = time.perf_counter()
     q = len(state.found)
     geig = generalized_eig(pm, p0)
-    indices, _ = select_ritz(geig, 2 * b + q, config.ritz_rule)
+    indices, padded = select_ritz(geig, 2 * b + q, config.ritz_rule)
     t_eig = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -473,6 +488,8 @@ def sweep_step(
             "mode_update": 1e3 * t_upd,
         },
         ranks=x.ranks,
+        padded=padded,
+        outcomes={o: sum(c.outcome == o for c in candidates) for o in WALK_OUTCOMES},
     )
 
 

@@ -70,9 +70,6 @@ class TTVector:
     def ranks(self) -> tuple[int, ...]:
         return (1,) + _as_tuple(g.shape[2] for g in self.cores)
 
-    def copy(self) -> "TTVector":
-        return TTVector([g.copy() for g in self.cores])
-
     def __repr__(self) -> str:
         return f"TTVector(mode_sizes={self.mode_sizes}, ranks={self.ranks})"
 
@@ -108,9 +105,6 @@ class TTOperator:
     @property
     def ranks(self) -> tuple[int, ...]:
         return (1,) + _as_tuple(g.shape[3] for g in self.cores)
-
-    def copy(self) -> "TTOperator":
-        return TTOperator([g.copy() for g in self.cores])
 
     def __repr__(self) -> str:
         return f"TTOperator(mode_sizes={self.mode_sizes}, ranks={self.ranks})"
@@ -343,7 +337,9 @@ def _positive_qr(mat: np.ndarray):
     q, r = np.linalg.qr(mat)
     d = np.sign(np.real(np.diagonal(r))).astype(mat.dtype)
     d[d == 0] = 1.0
-    return q * d[np.newaxis, :], r * np.conj(d)[:, np.newaxis]
+    q *= d[np.newaxis, :]
+    r *= np.conj(d)[:, np.newaxis]
+    return q, r
 
 
 def left_orthonormalize_core(t, k: int) -> np.ndarray:
@@ -443,6 +439,46 @@ def svd_split(mat: np.ndarray, direction: int, max_rank: int | None = None):
     return vh[:rho], u[:, :rho] * s[np.newaxis, :rho]
 
 
+def _round_cores(cores: list, tol: float, max_rank: int | None = None) -> list:
+    """TT-SVD rounding of a core list that the routine may consume.
+
+    Cores have shape (r_{k-1}, *modes, r_k); the modes of each core are
+    fused for the algebra and restored on output. Phase 1 right-
+    orthonormalizes from the last core and phase 2 truncates from the
+    first, each replacing list entries as it goes, so the list never holds
+    more than one train plus the factors of one core. The arrays the list
+    held on entry are only read. Each core enters the algebra C-contiguous,
+    the layout its values are summed in, and each rounded core is stored
+    compact and C-contiguous rather than as a view into its SVD factor.
+    """
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    mode_shapes = [g.shape[1:-1] for g in cores]
+    for k, g in enumerate(cores):
+        cores[k] = np.ascontiguousarray(g.reshape(g.shape[0], -1, g.shape[-1]))
+    out = TTVector(cores)
+    m = out.order
+    if m == 1:
+        cores[0] = cores[0].copy()
+    else:
+        for k in range(m - 1, 0, -1):
+            transfer = right_orthonormalize_core(out, k)
+            absorb_transfer_left(out, k, transfer)
+        norm = float(np.linalg.norm(cores[0]))
+        budget = tol * norm / np.sqrt(m - 1)
+        for k in range(m - 1):
+            r0, n, r1 = cores[k].shape
+            u, s, vh = np.linalg.svd(cores[k].reshape(r0 * n, r1), full_matrices=False)
+            r = _truncation_rank(s, budget, max_rank)
+            cores[k] = np.ascontiguousarray(u[:, :r]).reshape(r0, n, r)
+            del u  # the full factor goes before the next core is formed
+            absorb_transfer_right(out, k, s[:r, np.newaxis] * vh[:r])
+        cores[m - 1] = np.ascontiguousarray(cores[m - 1])
+    return [
+        g.reshape(g.shape[0], *shape, g.shape[-1]) for g, shape in zip(cores, mode_shapes)
+    ]
+
+
 def tt_round(
     v: TTVector,
     tol: float,
@@ -453,41 +489,14 @@ def tt_round(
     The budget is split as tol/sqrt(m-1) per truncation, which bounds the
     accumulated error by tol * ||v||. With tol = 0 only singular values at
     the relative floor are dropped, recovering the minimal exact ranks.
+    The input is never written to: the result is a new train.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    out = v.copy()
-    m = out.order
-    if m == 1:
-        return out
-    for k in range(m - 1, 0, -1):
-        transfer = right_orthonormalize_core(out, k)
-        absorb_transfer_left(out, k, transfer)
-    norm = float(np.linalg.norm(out.cores[0]))
-    budget = tol * norm / np.sqrt(m - 1)
-    for k in range(m - 1):
-        g = out.cores[k]
-        r0, n, r1 = g.shape
-        u, s, vh = np.linalg.svd(g.reshape(r0 * n, r1), full_matrices=False)
-        r = _truncation_rank(s, budget, max_rank)
-        out.cores[k] = u[:, :r].reshape(r0, n, r)
-        carry = s[:r, np.newaxis] * vh[:r]
-        absorb_transfer_right(out, k, carry)
-    return out
+    return TTVector(_round_cores(list(v.cores), tol, max_rank))
 
 
 def tt_round_operator(a: TTOperator, tol: float) -> TTOperator:
     """Rounding for operators: each core is rounded with its modes fused."""
-    fused = TTVector(
-        [g.reshape(g.shape[0], g.shape[1] * g.shape[2], g.shape[3]) for g in a.cores]
-    )
-    rounded = tt_round(fused, tol)
-    sizes = a.mode_sizes
-    cores = [
-        g.reshape(g.shape[0], sizes[k], sizes[k], g.shape[2])
-        for k, g in enumerate(rounded.cores)
-    ]
-    return TTOperator(cores)
+    return TTOperator(_round_cores(list(a.cores), tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Operator-determinant construction against brute-force oracles."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -18,7 +19,7 @@ from ttmep.mep_problem import (
     generate_random_mep,
     oracle_eigenvalues,
 )
-from ttmep.tt_core import densify_operator
+from ttmep.tt_core import densify_operator, tt_round_operator
 
 
 def factor_product(a: np.ndarray) -> float:
@@ -130,6 +131,66 @@ def test_delta_rounding_respects_rank_bounds():
     d0 = build_delta0(g.problem, round_tol=1e-13)
     for k in range(1, 5):
         assert d0.ranks[k] <= min(comb(5, k), 4)
+
+
+def _einsum_cores(p: MEProblem, replace_col=None) -> list[np.ndarray]:
+    """Unrounded cores as one contraction with the dense factor basis each."""
+    m = p.m
+    cores = []
+    for k in range(m):
+        stack = np.stack([p.a[k] if l == replace_col else p.b[k][l] for l in range(m)])
+        basis = np.stack([determinant_factor(k + 1, m, row) for row in np.eye(m)])
+        basis[basis == 0] = 0.0  # unit rows leave signed zeros off the pattern
+        cores.append(np.einsum("lij,lab->aijb", stack, basis, optimize=True))
+    return cores
+
+
+def test_unrounded_cores_equal_the_dense_basis_contraction():
+    rng = np.random.default_rng(6)
+    real = generate_random_mep(4, 3, seed=6).problem
+    cplx = MEProblem(
+        a=[x + 1j * rng.standard_normal(x.shape) for x in real.a],
+        b=[[x + 1j * rng.standard_normal(x.shape) for x in row] for row in real.b],
+    )
+    for p in (real, cplx):
+        for op, col in ((build_delta0(p, round_tol=None), None),
+                        (build_delta_i(p, 2, round_tol=None), 1)):
+            ref = _einsum_cores(p, col)
+            assert [g.dtype for g in op.cores] == [g.dtype for g in ref]
+            assert [g.tobytes() for g in op.cores] == [g.tobytes() for g in ref]
+    # exact zeros in the input: the sign of a zero entry may differ
+    sparse = MEProblem(
+        a=[np.where(np.abs(x) < 0.5, 0.0, x) for x in real.a],
+        b=[[np.where(np.abs(x) < 0.5, 0.0, x) for x in row] for row in real.b],
+    )
+    for got, want in zip(build_delta_i(sparse, 4, round_tol=None).cores,
+                         _einsum_cores(sparse, 3)):
+        assert np.array_equal(got, want)
+
+
+def test_build_rounds_like_round_operator_into_compact_cores():
+    p = generate_random_mep(5, 3, seed=7).problem
+    for build in (build_delta0, lambda q, round_tol=1e-13: build_delta_i(q, 5, round_tol)):
+        got = build(p)
+        want = tt_round_operator(build(p, round_tol=None), 1e-13)
+        assert [g.tobytes() for g in got.cores] == [g.tobytes() for g in want.cores]
+        for g in got.cores:
+            owner = g if g.base is None else g.base
+            assert g.flags["C_CONTIGUOUS"] and owner.nbytes == g.nbytes
+
+
+def test_delta_build_holds_one_unrounded_train():
+    p = generate_random_mep(8, 4, seed=1).problem
+    train = sum(g.nbytes for g in build_delta0(p, round_tol=None).cores)
+    build_delta0(p)  # the factor patterns are cached after the first build
+    tracemalloc.start()
+    try:
+        build_delta0(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rounding needs the train plus the factors of one core
+    assert peak <= 2 * train
 
 
 def test_diagonal_problem_eigen_consistency():

@@ -17,6 +17,7 @@ from ttmep.mep_problem import (
     screen_denominator,
 )
 from ttmep.solver import (
+    WALK_OUTCOMES,
     SolverConfig,
     SweepState,
     _Candidate,
@@ -225,7 +226,7 @@ def test_check_convergence_accepts_planted_eigenpair():
     walk = check_convergence(
         state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
     )
-    assert walk.converged and walk.admitted
+    assert walk.converged and walk.admitted and walk.outcome == "admitted"
     assert len(state.found) == 1
     assert state.found[0].residual_norm < 1e-6
     assert abs(state.found[0].lam[-1] - t.lam[-1]) <= 1e-8 * max(1, abs(t.lam[-1]))
@@ -233,8 +234,15 @@ def test_check_convergence_accepts_planted_eigenpair():
     walk2 = check_convergence(
         state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
     )
-    assert walk2.converged and not walk2.admitted
+    assert walk2.converged and not walk2.admitted and walk2.outcome == "duplicate"
     assert len(state.found) == 1
+    # with the keep list full of tuples nearer the target it is cut first
+    nearer = dataclasses.replace(state.found[0], lam=np.zeros_like(t.lam))
+    state.found = [nearer] * (4 * config.block_size)
+    walk3 = check_convergence(
+        state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
+    )
+    assert walk3.converged and walk3.outcome == "keep_cut"
 
 
 def test_admitted_tuple_carries_its_screen_denominator():
@@ -262,7 +270,7 @@ def test_check_convergence_aborts_on_large_projected_residual():
     rng = np.random.default_rng(10)
     coeff = rng.standard_normal((rl, 4, rr))
     walk = check_convergence(state, 0.123, coeff, +1, delta_0, g.problem, config)
-    assert not walk.converged and not walk.admitted
+    assert not walk.converged and not walk.admitted and walk.outcome == "aborted"
     assert walk.est_residual >= config.eps1
     assert state.found == []
 
@@ -278,8 +286,7 @@ def _mk_candidate(mu, coeff, middle, est, converged=False):
         middle=middle / np.linalg.norm(middle),
         est_residual=est,
         transported_middle=middle,
-        converged=converged,
-        admitted=False,
+        outcome="duplicate" if converged else "aborted",
     )
 
 
@@ -526,6 +533,22 @@ def test_solve_stops_after_five_sweeps_without_a_new_tuple():
     assert report["sweeps_run"] < config.sweeps
     assert report["stop_reason"] == "no_progress"
     assert max(per) == report["sweeps_run"]
+
+
+def test_step_records_count_every_walk_outcome():
+    g = generate_random_mep(2, 5, seed=20)
+    work, _, _ = shifted_positive(g)
+    config = SolverConfig(block_size=2, sweeps=3, seed=7)
+    _, report = solve(work, target=0.0, config=config)
+    totals = dict.fromkeys(WALK_OUTCOMES, 0)
+    for s in report["steps"]:
+        assert tuple(s["outcomes"]) == WALK_OUTCOMES
+        assert sum(s["outcomes"].values()) == s["n_candidates"]
+        assert s["outcomes"]["admitted"] == s["n_converged_new"]
+        assert isinstance(s["padded"], bool)
+        for name, count in s["outcomes"].items():
+            totals[name] += count
+    assert totals["admitted"] >= 1 and totals["aborted"] + totals["duplicate"] >= 1
 
 
 def test_found_list_keeps_four_block_sizes_nearest_the_target():

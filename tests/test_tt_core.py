@@ -278,6 +278,48 @@ def test_round_operator_preserves_entries():
     )
 
 
+def _is_compact(core: np.ndarray) -> bool:
+    """C-contiguous, and not a view into a larger buffer."""
+    owner = core if core.base is None else core.base
+    return core.flags["C_CONTIGUOUS"] and owner.nbytes == core.nbytes
+
+
+def test_round_never_writes_to_its_input():
+    rng = np.random.default_rng(17)
+    v = random_tt(rng, (3, 4, 3, 2), (3, 5, 4))
+    # a strided core, as einsum with optimize=True returns them
+    v.cores[1] = np.ascontiguousarray(v.cores[1].transpose(2, 1, 0)).transpose(2, 1, 0)
+    a = random_operator(rng, (3, 2, 3), (4, 4))
+    for t, rounder in ((v, lambda t: tt_round(t, 1e-10, max_rank=2)),
+                       (a, lambda t: tt_round_operator(t, 1e-13))):
+        before = [(g.tobytes(), g.strides) for g in t.cores]
+        out = rounder(t)
+        assert [(g.tobytes(), g.strides) for g in t.cores] == before
+        assert not any(np.shares_memory(g, h) for g in out.cores for h in t.cores)
+
+
+def _zero_padded(cores, extra):
+    """The same train with ``extra`` zero slices appended to every interior bond."""
+    out = []
+    for k, g in enumerate(cores):
+        pad = [(0, 0)] * g.ndim
+        pad[0] = (0, 0 if k == 0 else extra)
+        pad[-1] = (0, 0 if k == len(cores) - 1 else extra)
+        out.append(np.pad(g, pad))
+    return out
+
+
+def test_rounded_cores_own_compact_storage():
+    # truncation keeps fewer singular vectors than each SVD returns
+    rng = np.random.default_rng(19)
+    v = TTVector(_zero_padded(random_tt(rng, (4, 5, 4, 3), (2, 3, 2)).cores, 2))
+    a = TTOperator(_zero_padded(random_operator(rng, (3, 3, 3), (2, 2)).cores, 2))
+    for t, want in ((tt_round(v, 0.0), (1, 2, 3, 2, 1)),
+                    (tt_round_operator(a, 1e-13), (1, 2, 2, 1))):
+        assert t.ranks == want
+        assert all(_is_compact(g) for g in t.cores)
+
+
 # ---------------------------------------------------------------------------
 # frames
 
