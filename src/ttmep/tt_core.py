@@ -154,14 +154,6 @@ class BlockTT:
     def ranks(self) -> tuple[int, ...]:
         return (1,) + _as_tuple(g.shape[-1] for g in self.cores)
 
-    def column(self, i_b: int) -> TTVector:
-        """Extract column i_b as a plain train (cores are copied)."""
-        cores = [g.copy() for g in self.cores]
-        cores[self.block_index] = np.ascontiguousarray(
-            self.cores[self.block_index][:, :, i_b, :]
-        )
-        return TTVector(cores)
-
 
 @dataclass
 class FrameContext:
@@ -195,20 +187,6 @@ class FrameContext:
 # evaluation / densification
 
 
-def evaluate(v: TTVector, multi_index) -> float | complex:
-    """Entry of the represented tensor at a 0-based multi-index."""
-    idx = _as_tuple(multi_index)
-    if len(idx) != v.order:
-        raise IndexError(f"expected {v.order} indices, got {len(idx)}")
-    for k, (i, n) in enumerate(zip(idx, v.mode_sizes)):
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for mode {k} of size {n}")
-    acc = v.cores[0][:, idx[0], :]
-    for k in range(1, v.order):
-        acc = acc @ v.cores[k][:, idx[k], :]
-    return acc[0, 0]
-
-
 def evaluate_operator(a: TTOperator, row_index, col_index) -> float:
     """Entry of the represented operator at a (row, column) multi-index pair."""
     ridx = _as_tuple(row_index)
@@ -227,9 +205,9 @@ def evaluate_operator(a: TTOperator, row_index, col_index) -> float:
 def densify(v: TTVector, cap: int = DENSE_CAP) -> np.ndarray:
     """Dense vector of length prod(mode_sizes), C-order linearization.
 
-    Entry at linear index ravel_multi_index((i_1,...,i_m)) equals
-    ``evaluate(v, (i_1,...,i_m))``; for rank-one trains this is the
-    Kronecker chain kron(x_1, ..., x_m).
+    Entry at linear index ravel_multi_index((i_1,...,i_m)) is the chain
+    product G_1[:, i_1, :] @ ... @ G_m[:, i_m, :]; for rank-one trains this
+    is the Kronecker chain kron(x_1, ..., x_m).
     """
     total = int(np.prod(v.mode_sizes, dtype=np.int64))
     if total > cap:
@@ -256,11 +234,6 @@ def densify_operator(a: TTOperator) -> np.ndarray:
         cols *= g.shape[2]
         acc = acc.reshape(rows, cols, g.shape[3])
     return acc[:, :, 0]
-
-
-def identity_operator(mode_sizes) -> TTOperator:
-    cores = [np.eye(n).reshape(1, n, n, 1) for n in mode_sizes]
-    return TTOperator(cores)
 
 
 def random_tt(rng: np.random.Generator, mode_sizes, ranks) -> TTVector:
@@ -332,47 +305,22 @@ def rank_one_bilinear(y_vectors, a: TTOperator, x_vectors):
 # orthonormalization
 
 
-def _positive_qr(mat: np.ndarray):
-    """Economy QR with nonnegative R diagonal, making the factors unique."""
-    q, r = np.linalg.qr(mat)
+def _positive_qr(mat: np.ndarray, overwrite_a: bool = False):
+    """Economy QR with nonnegative R diagonal, making the factors unique.
+
+    LAPACK's ``geqrf``/``orgqr``, as ``numpy.linalg.qr`` runs them, through
+    scipy (a test holds the bytes equal to numpy's). With ``overwrite_a`` a
+    Fortran-contiguous ``mat`` is factored in its own buffer, which Q
+    (Fortran-ordered) then occupies; R is C-ordered, as numpy returns it.
+    """
+    import scipy.linalg  # on use: importing it with this module moves the import-time peak
+
+    q, r = scipy.linalg.qr(mat, mode="economic", overwrite_a=overwrite_a, check_finite=False)
     d = np.sign(np.real(np.diagonal(r))).astype(mat.dtype)
     d[d == 0] = 1.0
     q *= d[np.newaxis, :]
     r *= np.conj(d)[:, np.newaxis]
     return q, r
-
-
-def left_orthonormalize_core(t, k: int) -> np.ndarray:
-    """Replace core k by its left-orthonormal factor and return the transfer.
-
-    The returned matrix R (shape new_rank x r_k) must be absorbed into core
-    k+1 by the caller (``absorb_transfer_right``) to keep the represented
-    tensor unchanged. For block trains, k must not be the block index.
-    """
-    cores = t.cores
-    if isinstance(t, BlockTT) and k == t.block_index:
-        raise ValueError("cannot orthonormalize the block core")
-    g = cores[k]
-    if g.ndim != 3:
-        raise ValueError("core must be 3D")
-    r0, n, r1 = g.shape
-    q, r = _positive_qr(g.reshape(r0 * n, r1))
-    cores[k] = q.reshape(r0, n, q.shape[1])
-    return r
-
-
-def right_orthonormalize_core(t, k: int) -> np.ndarray:
-    """Mirror of ``left_orthonormalize_core``; transfer goes to core k-1."""
-    cores = t.cores
-    if isinstance(t, BlockTT) and k == t.block_index:
-        raise ValueError("cannot orthonormalize the block core")
-    g = cores[k]
-    if g.ndim != 3:
-        raise ValueError("core must be 3D")
-    r0, n, r1 = g.shape
-    q, r = _positive_qr(g.reshape(r0, n * r1).T)
-    cores[k] = q.T.reshape(q.shape[1], n, r1)
-    return r.T
 
 
 def absorb_transfer_right(t, k: int, transfer: np.ndarray) -> None:
@@ -391,18 +339,6 @@ def absorb_transfer_left(t, k: int, transfer: np.ndarray) -> None:
         t.cores[k - 1] = np.einsum("aib,bx->aix", g, transfer)
     else:
         t.cores[k - 1] = np.einsum("aibc,cx->aibx", g, transfer)
-
-
-def is_left_orthonormal(core: np.ndarray, tol: float = 1e-12) -> bool:
-    r0, n, r1 = core.shape
-    m = core.reshape(r0 * n, r1)
-    return bool(np.max(np.abs(np.conj(m.T) @ m - np.eye(r1))) <= tol)
-
-
-def is_right_orthonormal(core: np.ndarray, tol: float = 1e-12) -> bool:
-    r0, n, r1 = core.shape
-    m = core.reshape(r0, n * r1)
-    return bool(np.max(np.abs(m @ np.conj(m.T) - np.eye(r0))) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -447,32 +383,50 @@ def _round_cores(cores: list, tol: float, max_rank: int | None = None) -> list:
     orthonormalizes from the last core and phase 2 truncates from the
     first, each replacing list entries as it goes, so the list never holds
     more than one train plus the factors of one core. The arrays the list
-    held on entry are only read. Each core enters the algebra C-contiguous,
-    the layout its values are summed in, and each rounded core is stored
-    compact and C-contiguous rather than as a view into its SVD factor.
+    held on entry are only read.
+
+    Every factorization overwrites a buffer the routine owns. Phase 1 runs
+    LAPACK's QR on the Fortran-contiguous transposed view of each core:
+    the last core is copied first, and every other one is by then the
+    product that absorbed a transfer. Phase 2 runs ``gesdd`` on a
+    Fortran-ordered buffer filled from each core. ``np.einsum`` sums in an
+    order that depends on its operands' strides, so the layouts are fixed:
+    cores enter C-contiguous, each phase-1 core is the transposed view of a
+    C-ordered Q, every transfer is C-ordered, and each rounded core is
+    stored compact and C-contiguous rather than as a view into its SVD
+    factor.
     """
+    import scipy.linalg  # on use, as in _positive_qr
+
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     mode_shapes = [g.shape[1:-1] for g in cores]
     for k, g in enumerate(cores):
         cores[k] = np.ascontiguousarray(g.reshape(g.shape[0], -1, g.shape[-1]))
+    m = len(cores)
+    cores[m - 1] = cores[m - 1].copy()  # the one input core phase 1 would overwrite
     out = TTVector(cores)
-    m = out.order
-    if m == 1:
-        cores[0] = cores[0].copy()
-    else:
+    if m > 1:
         for k in range(m - 1, 0, -1):
-            transfer = right_orthonormalize_core(out, k)
-            absorb_transfer_left(out, k, transfer)
+            r0, n, r1 = cores[k].shape
+            q, r = _positive_qr(cores[k].reshape(r0, n * r1).T, overwrite_a=True)
+            cores[k] = np.ascontiguousarray(q).T.reshape(q.shape[1], n, r1)
+            del q  # the factored core's buffer goes before core k-1 is replaced
+            absorb_transfer_left(out, k, r.T)
         norm = float(np.linalg.norm(cores[0]))
         budget = tol * norm / np.sqrt(m - 1)
         for k in range(m - 1):
             r0, n, r1 = cores[k].shape
-            u, s, vh = np.linalg.svd(cores[k].reshape(r0 * n, r1), full_matrices=False)
+            mat = np.asfortranarray(cores[k].reshape(r0 * n, r1))
+            cores[k] = None  # gesdd overwrites the buffer; the core itself goes
+            u, s, vh = scipy.linalg.svd(
+                mat, full_matrices=False, overwrite_a=True, check_finite=False
+            )
+            del mat  # destroyed by gesdd
             r = _truncation_rank(s, budget, max_rank)
             cores[k] = np.ascontiguousarray(u[:, :r]).reshape(r0, n, r)
             del u  # the full factor goes before the next core is formed
-            absorb_transfer_right(out, k, s[:r, np.newaxis] * vh[:r])
+            absorb_transfer_right(out, k, s[:r, np.newaxis] * np.ascontiguousarray(vh[:r]))
         cores[m - 1] = np.ascontiguousarray(cores[m - 1])
     return [
         g.reshape(g.shape[0], *shape, g.shape[-1]) for g, shape in zip(cores, mode_shapes)
@@ -721,14 +675,6 @@ def shift_block_core(
         x.cores[k - 1] = np.einsum("cja,abs->cjbs", prv, coef, optimize=True)
         x.block_index = k - 1
     return x
-
-
-def block_columns_dense(x: BlockTT) -> np.ndarray:
-    """Densify all block columns into a matrix (testing aid)."""
-    total = int(np.prod(x.mode_sizes, dtype=np.int64))
-    if total * x.block_size > DENSE_CAP:
-        raise CapExceededError("dense block would exceed cap")
-    return np.stack([densify(x.column(i)) for i in range(x.block_size)], axis=1)
 
 
 # ---------------------------------------------------------------------------

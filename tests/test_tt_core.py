@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
+from ttmep.delta_builder import build_delta0
+from ttmep.mep_problem import generate_random_mep
 from ttmep.tt_core import (
     BlockTT,
     CapExceededError,
@@ -13,26 +15,20 @@ from ttmep.tt_core import (
     FrameEnvCache,
     TTOperator,
     TTVector,
+    _positive_qr,
+    _truncation_rank,
     absorb_transfer_left,
     absorb_transfer_right,
-    block_columns_dense,
     densify,
     densify_frame,
     densify_operator,
-    evaluate,
     evaluate_operator,
     env_apply,
     env_left_step,
     env_right_step,
-    feasible_ranks,
     frame_project,
-    identity_operator,
-    is_left_orthonormal,
-    is_right_orthonormal,
-    left_orthonormalize_core,
     random_tt,
     rank_one_bilinear,
-    right_orthonormalize_core,
     shift_block_core,
     svd_split,
     tt_from_bytes,
@@ -44,19 +40,21 @@ from ttmep.tt_core import (
     tt_to_json,
 )
 
+from tt_helpers import (
+    block_columns_dense,
+    evaluate,
+    identity_operator,
+    is_left_orthonormal,
+    is_right_orthonormal,
+    left_orthonormalize_core,
+    orthonormal_block,
+    random_operator,
+    right_orthonormalize_core,
+)
+
 
 def rank_one(vectors):
     return TTVector([np.asarray(v, float).reshape(1, -1, 1) for v in vectors])
-
-
-def random_operator(rng, sizes, ranks):
-    full = [1] + list(ranks) + [1]
-    return TTOperator(
-        [
-            rng.standard_normal((full[k], n, n, full[k + 1]))
-            for k, n in enumerate(sizes)
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +318,95 @@ def test_rounded_cores_own_compact_storage():
         assert all(_is_compact(g) for g in t.cores)
 
 
+def _numpy_positive_qr(mat):
+    """numpy.linalg.qr with the sign fix: the reference for _positive_qr."""
+    q, r = np.linalg.qr(mat)
+    d = np.sign(np.real(np.diagonal(r))).astype(mat.dtype)
+    d[d == 0] = 1.0
+    q *= d[np.newaxis, :]
+    r *= np.conj(d)[:, np.newaxis]
+    return q, r
+
+
+def _numpy_reference_round(cores, tol, max_rank=None):
+    """The TT-SVD rounding with numpy.linalg's QR and SVD, in the operand
+    layouts numpy returns: C-contiguous cores in, each phase-1 core the
+    transposed view of a C-ordered Q, C-ordered transfers."""
+    shapes = [g.shape[1:-1] for g in cores]
+    cores = [np.ascontiguousarray(g.reshape(g.shape[0], -1, g.shape[-1])) for g in cores]
+    m = len(cores)
+    for k in range(m - 1, 0, -1):
+        r0, n, r1 = cores[k].shape
+        q, r = _numpy_positive_qr(cores[k].reshape(r0, n * r1).T)
+        cores[k] = q.T.reshape(q.shape[1], n, r1)
+        cores[k - 1] = np.einsum("aib,bx->aix", cores[k - 1], r.T)
+    if m > 1:
+        budget = tol * float(np.linalg.norm(cores[0])) / np.sqrt(m - 1)
+        for k in range(m - 1):
+            r0, n, r1 = cores[k].shape
+            u, s, vh = np.linalg.svd(cores[k].reshape(r0 * n, r1), full_matrices=False)
+            r = _truncation_rank(s, budget, max_rank)
+            cores[k] = u[:, :r].reshape(r0, n, r)
+            cores[k + 1] = np.einsum("xa,aib->xib", s[:r, np.newaxis] * vh[:r], cores[k + 1])
+    return [g.reshape(g.shape[0], *shape, g.shape[-1]) for g, shape in zip(cores, shapes)]
+
+
+def _same_train_bits(got, want_cores):
+    return len(got.cores) == len(want_cores) and all(
+        _same_bits(g, w) for g, w in zip(got.cores, want_cores)
+    )
+
+
+def test_rounding_returns_the_numpy_reference_bytes():
+    # the seed-0 solve moves with any rounding-level change in the operators,
+    # so the in-place LAPACK rounding must return numpy.linalg's bytes
+    rng = np.random.default_rng(29)
+    strided = random_tt(rng, (3, 4, 3, 2), (3, 5, 4))
+    strided.cores[1] = np.ascontiguousarray(strided.cores[1].transpose(2, 1, 0)).transpose(2, 1, 0)
+    cplx = random_tt(rng, (3, 2, 4), (3, 4))
+    cplx = TTVector([g + 1j * rng.standard_normal(g.shape) for g in cplx.cores])
+    deficient = TTVector(_zero_padded(random_tt(rng, (4, 5, 4, 3), (2, 3, 2)).cores, 2))
+    vectors = [
+        (random_tt(rng, (4, 3, 5, 4, 3), (4, 8, 9, 5)), 1e-10, None),
+        (strided, 1e-10, 2),
+        (cplx, 1e-8, None),
+        (random_tt(rng, (5, 4), (4,)), 0.0, None),  # m = 2
+        (deficient, 0.0, None),
+        (deficient, 1e-1, None),
+    ]
+    for v, tol, cap in vectors:
+        want = _numpy_reference_round(list(v.cores), tol, cap)
+        assert _same_train_bits(tt_round(v, tol, max_rank=cap), want)
+    operators = [
+        random_operator(rng, (3, 2, 3, 2), (4, 5, 3)),
+        random_operator(rng, (3, 4), (5,)),  # m = 2
+        TTOperator(_zero_padded(random_operator(rng, (3, 3, 3), (2, 2)).cores, 2)),
+    ]
+    for a in operators:
+        want = _numpy_reference_round(list(a.cores), 1e-13)
+        assert _same_train_bits(tt_round_operator(a, 1e-13), want)
+    prob = generate_random_mep(6, 3, seed=4).problem
+    want = _numpy_reference_round(build_delta0(prob, round_tol=None).cores, 1e-13)
+    assert _same_train_bits(build_delta0(prob), want)
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (7, 7)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_positive_qr_returns_numpy_qr_bytes_with_the_sign_fix(shape, complex_):
+    rng = np.random.default_rng(31)
+    mat = rng.standard_normal(shape)
+    if complex_:
+        mat = mat + 1j * rng.standard_normal(shape)
+    want_q, want_r = _numpy_positive_qr(mat)
+    before = mat.tobytes()
+    q, r = _positive_qr(mat)
+    assert mat.tobytes() == before
+    assert _same_bits(q, want_q) and _same_bits(r, want_r)
+    assert np.all(np.real(np.diagonal(r)) >= 0)
+
+
 # ---------------------------------------------------------------------------
 # frames
-
-
-def orthonormal_block(rng, sizes, b, ranks, index=None):
-    m = len(sizes)
-    index = m // 2 if index is None else index
-    full = list(feasible_ranks(sizes, ranks))
-    cores = []
-    for k, n in enumerate(sizes):
-        if k == index:
-            cores.append(rng.standard_normal((full[k], n, b, full[k + 1])))
-        else:
-            cores.append(rng.standard_normal((full[k], n, full[k + 1])))
-    x = BlockTT(cores, index)
-    for k in range(index):
-        r = left_orthonormalize_core(x, k)
-        absorb_transfer_right(x, k, r)
-    for k in range(m - 1, index, -1):
-        l = right_orthonormalize_core(x, k)
-        absorb_transfer_left(x, k, l)
-    return x
 
 
 def test_frame_gram_identity():

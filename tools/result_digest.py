@@ -1,0 +1,130 @@
+"""SHA-256 digests of what the solver computes on the perfbench workloads.
+
+Usage, from the root of the repository:
+
+    python3 tools/result_digest.py                      # all workloads
+    python3 tools/result_digest.py --workload sweep1-m9
+    python3 tools/result_digest.py --src /path/to/other/tree/src
+
+For each workload, at its pinned problem and solver seeds (see
+``perfbench/workloads.py``), it builds the shifted problem the benchmark
+solves and prints one JSON line with the SHA-256 digests of:
+
+- ``delta_m`` and ``delta_0``: the bytes of every rounded Delta_m and
+  Delta_0 core, with their shapes and dtypes;
+- ``tuples``: the returned tuples (lambda, right and left vectors,
+  residual norm, flags), in the order ``solve`` returns them;
+- ``steps``: the report steps without ``wall_ms``, ``phase_ms``,
+  ``padded`` and ``outcomes`` (timings, and fields older trees lack).
+
+Two trees that print the same lines compute the same operators and the
+same solve, bit for bit. Run it on both trees of a change that claims to
+leave the results alone; ``--src`` picks the ``ttmep`` sources to import,
+so one copy of this script serves both. Pin the BLAS thread count (as
+perfbench does, ``OPENBLAS_NUM_THREADS=1``) when comparing trees. One run
+over the three workloads takes about half a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+# fields of a report step that are timings, or were added after the steps
+# were first digested
+UNDIGESTED_STEP_FIELDS = ("wall_ms", "phase_ms", "padded", "outcomes")
+
+
+def _update_array(h, arr) -> None:
+    arr = np.asarray(arr)
+    h.update(repr((arr.shape, arr.dtype.str)).encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
+
+
+def operator_digest(op) -> str:
+    h = hashlib.sha256()
+    for core in op.cores:
+        _update_array(h, core)
+    return h.hexdigest()
+
+
+def tuples_digest(tuples) -> str:
+    h = hashlib.sha256()
+    for t in tuples:
+        _update_array(h, t.lam)
+        for vec in t.vectors:
+            _update_array(h, vec)
+        for vec in t.left_vectors or ():
+            _update_array(h, vec)
+        h.update(b"left" if t.left_vectors is not None else b"no-left")
+        _update_array(h, np.float64(t.residual_norm))
+        h.update(repr(tuple(t.flags)).encode())
+    return h.hexdigest()
+
+
+def steps_digest(steps) -> str:
+    kept = [{k: v for k, v in s.items() if k not in UNDIGESTED_STEP_FIELDS} for s in steps]
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+
+
+def digest_workload(w) -> dict:
+    from ttmep.delta_builder import build_delta0, build_delta_i
+    from ttmep.mep_problem import MEProblem, generate_random_mep
+    from ttmep.solver import SolverConfig, solve
+    from workloads import PROBLEM_SEED, SOLVER_SEED, exterior_shift, shifted_matrices, spectra
+
+    g = generate_random_mep(w.m, w.n, seed=PROBLEM_SEED)
+    eta = exterior_shift(w, *spectra(g))
+    a, b = shifted_matrices(g, eta)
+    prob = MEProblem(a=a, b=b)
+    config = SolverConfig(sweeps=w.sweeps, seed=SOLVER_SEED)
+    out = {
+        "workload": w.name,
+        "delta_m": operator_digest(build_delta_i(prob, prob.m, round_tol=config.delta_round_tol)),
+        "delta_0": operator_digest(build_delta0(prob, round_tol=config.delta_round_tol)),
+    }
+    tuples, report = solve(prob, target=0.0, config=config)
+    out.update(
+        tuples=tuples_digest(tuples),
+        steps=steps_digest(report["steps"]),
+        n_tuples=len(tuples),
+        sweeps_run=report["sweeps_run"],
+    )
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", action="append",
+                        help="workload name (repeatable); default: every workload")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the ttmep package to digest")
+    args = parser.parse_args()
+    if not (args.src / "ttmep" / "__init__.py").is_file():
+        print(f"result_digest: no ttmep package under {args.src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(args.src.resolve()))
+
+    from workloads import WORKLOADS
+
+    names = args.workload or list(WORKLOADS)
+    unknown = sorted(set(names) - set(WORKLOADS))
+    if unknown:
+        print(f"result_digest: unknown workload(s) {unknown}; one of {sorted(WORKLOADS)}",
+              file=sys.stderr)
+        return 2
+    for name in names:
+        print(json.dumps(digest_workload(WORKLOADS[name])), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
