@@ -323,31 +323,20 @@ def trqi_refine(
             break
         try:
             lam = tensor_rayleigh_quotient(prob, vectors)
-        except SingularRayleighError:
-            return EigenTuple(
-                best.lam, best.vectors, best.residual_norm, best.left_vectors,
-                best.flags + ("refine-solve-failed",),
-            )
-        new_vectors = []
-        failed = False
-        for i in range(m):
-            mat = _equation_matrix(prob, i, lam)
-            rhs = prob.b[i][m - 1] @ vectors[i]
-            try:
-                upd = np.linalg.solve(mat, rhs)
-            except np.linalg.LinAlgError:
-                delta = 1e-12 * np.linalg.norm(prob.a[i])
+            new_vectors = []
+            for i in range(m):
+                mat = _equation_matrix(prob, i, lam)
+                rhs = prob.b[i][m - 1] @ vectors[i]
                 try:
-                    upd = np.linalg.solve(mat + delta * np.eye(mat.shape[0]), rhs)
+                    upd = np.linalg.solve(mat, rhs)
                 except np.linalg.LinAlgError:
-                    failed = True
-                    break
-            nv = np.linalg.norm(upd)
-            if nv == 0 or not np.all(np.isfinite(upd)):
-                failed = True
-                break
-            new_vectors.append(upd / nv)
-        if failed:
+                    delta = 1e-12 * np.linalg.norm(prob.a[i])
+                    upd = np.linalg.solve(mat + delta * np.eye(mat.shape[0]), rhs)
+                nv = np.linalg.norm(upd)
+                if nv == 0 or not np.all(np.isfinite(upd)):
+                    raise np.linalg.LinAlgError("update vanished or is not finite")
+                new_vectors.append(upd / nv)
+        except (SingularRayleighError, np.linalg.LinAlgError):
             return EigenTuple(
                 best.lam, best.vectors, best.residual_norm, best.left_vectors,
                 best.flags + ("refine-solve-failed",),

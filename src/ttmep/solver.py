@@ -38,8 +38,6 @@ from .tt_core import (
     FrameEnvCache,
     TTOperator,
     env_apply,
-    env_left_step,
-    env_right_step,
     frame_project,
     shift_block_core,
     svd_split,
@@ -107,8 +105,7 @@ class StepRecord:
 @dataclass
 class SweepState:
     x: BlockTT
-    env_m: FrameEnvCache
-    env_0: FrameEnvCache
+    envs: FrameEnvCache  # environments of the pencil (Delta_m, Delta_0)
     rng: np.random.Generator
     found: list[EigenTuple] = field(default_factory=list)
     estimates: dict[int, list[np.ndarray]] = field(default_factory=dict)
@@ -166,48 +163,39 @@ class _ChainWalker:
     every visited mode underestimates the true full-space residual.
     """
 
-    def __init__(self, cores, env_m: FrameEnvCache, env_0: FrameEnvCache, k: int, coeff):
+    def __init__(self, cores, envs: FrameEnvCache, k: int, coeff):
         self.cores = cores
-        self.env_m = env_m
-        self.env_0 = env_0
+        self.envs = envs
         self.pos = k
         self.v = coeff
-        self.lm = env_m.left[k]
-        self.l0 = env_0.left[k]
-        self.rm = env_m.right[k]
-        self.r0 = env_0.right[k]
+        self.left = envs.left[k]
+        self.right = envs.right[k]
 
     def hop(self, direction: int, mu: complex) -> float:
         """Move one mode over; returns the projected residual norm there."""
         nxt = self.pos + direction
         if not 0 <= nxt < len(self.cores):
             raise IndexError("walked past the boundary")
-        op_m = self.env_m.op
-        op_0 = self.env_0.op
         a, n, c = self.v.shape
         if direction == +1:
             chain_core, carry = svd_split(self.v.reshape(a * n, c), +1)
-            chain_core = chain_core.reshape(a, n, -1)
-            self.lm = env_left_step(self.lm, chain_core, op_m.cores[self.pos], chain_core)
-            self.l0 = env_left_step(self.l0, chain_core, op_0.cores[self.pos], chain_core)
+            self.left = self.envs.step(+1, self.left, self.pos, chain_core.reshape(a, n, -1))
             self.v = np.einsum("sc,cjt->sjt", carry, self.cores[nxt])
-            self.rm = self.env_m.right[nxt]
-            self.r0 = self.env_0.right[nxt]
+            self.right = self.envs.right[nxt]
         else:
             chain_core, carry = svd_split(self.v.reshape(a, n * c), -1)
-            chain_core = chain_core.reshape(-1, n, c)
-            self.rm = env_right_step(self.rm, chain_core, op_m.cores[self.pos], chain_core)
-            self.r0 = env_right_step(self.r0, chain_core, op_0.cores[self.pos], chain_core)
+            self.right = self.envs.step(-1, self.right, self.pos, chain_core.reshape(-1, n, c))
             self.v = np.einsum("xja,as->xjs", self.cores[nxt], carry)
-            self.lm = self.env_m.left[nxt]
-            self.l0 = self.env_0.left[nxt]
+            self.left = self.envs.left[nxt]
         nv = np.linalg.norm(self.v)
         if nv == 0:
             raise ValueError("transported coefficient vanished")
         self.v = self.v / nv
         self.pos = nxt
-        zm = env_apply(self.lm, op_m.cores[nxt], self.rm, self.v)
-        z0 = env_apply(self.l0, op_0.cores[nxt], self.r0, self.v)
+        zm, z0 = (
+            env_apply(lt, op.cores[nxt], rt, self.v)
+            for lt, op, rt in zip(self.left, self.envs.ops, self.right)
+        )
         return float(np.linalg.norm(zm - mu * z0))
 
 
@@ -226,7 +214,7 @@ def estimate_residual(
     nv = np.linalg.norm(coeff)
     if nv == 0:
         raise ValueError("degenerate candidate vector")
-    walker = _ChainWalker(state.x.cores, state.env_m, state.env_0, k, coeff / nv)
+    walker = _ChainWalker(state.x.cores, state.envs, k, coeff / nv)
     return walker.hop(direction, mu)
 
 
@@ -261,7 +249,7 @@ def check_convergence(
     transported_middle = None
     aborted = False
     for phase_dir in (direction, -direction):
-        walker = _ChainWalker(cores, state.env_m, state.env_0, k, unit)
+        walker = _ChainWalker(cores, state.envs, k, unit)
         while 0 <= walker.pos + phase_dir < m:
             res = walker.hop(phase_dir, mu)
             if transported_middle is None:
@@ -333,20 +321,13 @@ def select_eigenpairs(
     complex pair occupies two columns (real and imaginary part); its
     conjugate twin is consumed with it.
     """
-    usable = [c for c in candidates if not c.converged]
-    matched_flags = {
-        id(c): any(
-            principal_cosine(c.middle, e) > cos_threshold for e in previous_estimates
-        )
-        for c in usable
-    }
-    matched = sorted(
-        (c for c in usable if matched_flags[id(c)]), key=lambda c: c.est_residual
+    priority = sorted(
+        (c for c in candidates if not c.converged),
+        key=lambda c: (
+            not any(principal_cosine(c.middle, e) > cos_threshold for e in previous_estimates),
+            c.est_residual,
+        ),
     )
-    unmatched = sorted(
-        (c for c in usable if not matched_flags[id(c)]), key=lambda c: c.est_residual
-    )
-    priority = matched + unmatched
 
     columns: list[np.ndarray] = []
     selected: list[_Candidate] = []
@@ -407,9 +388,8 @@ def make_state(
 ) -> SweepState:
     rng = np.random.default_rng(config.seed)
     x = init_iterate(prob.sizes, config, rng)
-    env_m = FrameEnvCache(delta_m, x.cores, x.block_index)
-    env_0 = FrameEnvCache(delta_0, x.cores, x.block_index)
-    return SweepState(x=x, env_m=env_m, env_0=env_0, rng=rng)
+    envs = FrameEnvCache((delta_m, delta_0), x.cores, x.block_index)
+    return SweepState(x=x, envs=envs, rng=rng)
 
 
 def sweep_step(
@@ -429,8 +409,9 @@ def sweep_step(
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
-    pm = frame_project(frame, delta_m, envs=(state.env_m.left[k], state.env_m.right[k]))
-    p0 = frame_project(frame, delta_0, envs=(state.env_0.left[k], state.env_0.right[k]))
+    (lm, l0), (rm, r0) = state.envs.left[k], state.envs.right[k]
+    pm = frame_project(frame, delta_m, envs=(lm, rm))
+    p0 = frame_project(frame, delta_0, envs=(l0, r0))
     t_proj = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -465,8 +446,7 @@ def sweep_step(
     shift_block_core(
         x, direction, config.resolved_max_rank, enrichment=config.kick, rng=state.rng
     )
-    state.env_m.refresh_after_shift(x.cores, k, x.block_index)
-    state.env_0.refresh_after_shift(x.cores, k, x.block_index)
+    state.envs.refresh_after_shift(x.cores, k, x.block_index)
     state.estimates[k + direction] = [
         c.transported_middle for c in selected if c.transported_middle is not None
     ]

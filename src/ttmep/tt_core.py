@@ -40,101 +40,25 @@ def _as_tuple(xs) -> tuple[int, ...]:
 # containers
 
 
-@dataclass
-class TTVector:
-    """Vector on a mode product space, stored as a chain of 3D cores."""
+@dataclass(repr=False)
+class _Chain:
+    """Chain of cores (r_{k-1}, *modes, r_k) with boundary ranks 1."""
 
     cores: list[np.ndarray]
+
+    def _core_ndim(self, k: int) -> int:
+        return 3
 
     def __post_init__(self):
         if not self.cores:
             raise ValueError("empty core list")
         for k, g in enumerate(self.cores):
-            if g.ndim != 3:
-                raise ValueError(f"core {k} must be 3D, got shape {g.shape}")
-        if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
-            raise ValueError("boundary ranks must both be 1")
-        for k in range(len(self.cores) - 1):
-            if self.cores[k].shape[2] != self.cores[k + 1].shape[0]:
-                raise ValueError(f"rank mismatch between cores {k} and {k + 1}")
-
-    @property
-    def order(self) -> int:
-        return len(self.cores)
-
-    @property
-    def mode_sizes(self) -> tuple[int, ...]:
-        return _as_tuple(g.shape[1] for g in self.cores)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + _as_tuple(g.shape[2] for g in self.cores)
-
-    def __repr__(self) -> str:
-        return f"TTVector(mode_sizes={self.mode_sizes}, ranks={self.ranks})"
-
-
-@dataclass
-class TTOperator:
-    """Operator on a mode product space, stored as a chain of 4D cores."""
-
-    cores: list[np.ndarray]
-
-    def __post_init__(self):
-        if not self.cores:
-            raise ValueError("empty core list")
-        for k, g in enumerate(self.cores):
-            if g.ndim != 4:
-                raise ValueError(f"core {k} must be 4D, got shape {g.shape}")
-            if g.shape[1] != g.shape[2]:
-                raise ValueError(f"core {k} must act on square modes")
-        if self.cores[0].shape[0] != 1 or self.cores[-1].shape[3] != 1:
-            raise ValueError("boundary ranks must both be 1")
-        for k in range(len(self.cores) - 1):
-            if self.cores[k].shape[3] != self.cores[k + 1].shape[0]:
-                raise ValueError(f"rank mismatch between cores {k} and {k + 1}")
-
-    @property
-    def order(self) -> int:
-        return len(self.cores)
-
-    @property
-    def mode_sizes(self) -> tuple[int, ...]:
-        return _as_tuple(g.shape[1] for g in self.cores)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + _as_tuple(g.shape[3] for g in self.cores)
-
-    def __repr__(self) -> str:
-        return f"TTOperator(mode_sizes={self.mode_sizes}, ranks={self.ranks})"
-
-
-@dataclass
-class BlockTT:
-    """b column vectors sharing all cores except the 4D core at block_index.
-
-    The block core has shape (r_{k-1}, n_k, b, r_k); column i_b evaluated at a
-    multi-index threads the slice ``core[:, i_k, i_b, :]`` into the chain.
-    Cores left of the block are kept left-orthonormal and cores right of it
-    right-orthonormal whenever the structure serves as a frame.
-    """
-
-    cores: list[np.ndarray]
-    block_index: int
-
-    def __post_init__(self):
-        m = len(self.cores)
-        if not 0 <= self.block_index < m:
-            raise ValueError("block index out of range")
-        for k, g in enumerate(self.cores):
-            want = 4 if k == self.block_index else 3
+            want = self._core_ndim(k)
             if g.ndim != want:
                 raise ValueError(f"core {k} must be {want}D, got shape {g.shape}")
-        ranks = [g.shape[0] for g in self.cores] + [self.cores[-1].shape[-1]]
-        if ranks[0] != 1 or ranks[-1] != 1:
+        if self.cores[0].shape[0] != 1 or self.cores[-1].shape[-1] != 1:
             raise ValueError("boundary ranks must both be 1")
-        for k in range(m - 1):
+        for k in range(len(self.cores) - 1):
             if self.cores[k].shape[-1] != self.cores[k + 1].shape[0]:
                 raise ValueError(f"rank mismatch between cores {k} and {k + 1}")
 
@@ -143,16 +67,59 @@ class BlockTT:
         return len(self.cores)
 
     @property
-    def block_size(self) -> int:
-        return self.cores[self.block_index].shape[2]
-
-    @property
     def mode_sizes(self) -> tuple[int, ...]:
         return _as_tuple(g.shape[1] for g in self.cores)
 
     @property
     def ranks(self) -> tuple[int, ...]:
         return (1,) + _as_tuple(g.shape[-1] for g in self.cores)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(mode_sizes={self.mode_sizes}, ranks={self.ranks})"
+
+
+@dataclass(repr=False)
+class TTVector(_Chain):
+    """Vector on a mode product space, stored as a chain of 3D cores."""
+
+
+@dataclass(repr=False)
+class TTOperator(_Chain):
+    """Operator on a mode product space, stored as a chain of 4D cores."""
+
+    def _core_ndim(self, k: int) -> int:
+        return 4
+
+    def __post_init__(self):
+        super().__post_init__()
+        for k, g in enumerate(self.cores):
+            if g.shape[1] != g.shape[2]:
+                raise ValueError(f"core {k} must act on square modes")
+
+
+@dataclass(repr=False)
+class BlockTT(_Chain):
+    """b column vectors sharing all cores except the 4D core at block_index.
+
+    The block core has shape (r_{k-1}, n_k, b, r_k); column i_b evaluated at a
+    multi-index threads the slice ``core[:, i_k, i_b, :]`` into the chain.
+    Cores left of the block are kept left-orthonormal and cores right of it
+    right-orthonormal whenever the structure serves as a frame.
+    """
+
+    block_index: int
+
+    def _core_ndim(self, k: int) -> int:
+        return 4 if k == self.block_index else 3
+
+    def __post_init__(self):
+        if not 0 <= self.block_index < len(self.cores):
+            raise ValueError("block index out of range")
+        super().__post_init__()
+
+    @property
+    def block_size(self) -> int:
+        return self.cores[self.block_index].shape[2]
 
 
 @dataclass
@@ -459,7 +426,11 @@ def tt_round_operator(a: TTOperator, tol: float) -> TTOperator:
 # A left environment L[x, a, y] contracts bra cores (conjugated), operator
 # cores and ket cores over all modes strictly left of a position; a right
 # environment R[u, c, v] does the same to the right. The projected operator
-# at the open position is then L * A_k * R.
+# at the open position is then L * A_k * R. The solver projects one pencil,
+# (Delta_m, Delta_0), so a ``FrameEnvCache`` keeps the environments of both
+# operators side by side: each entry is a pair, and ``FrameEnvCache.step``
+# is the one place that advances them, for the sweep frame and the walk's
+# single-pair frames alike.
 #
 # The environment kernels are fixed chains of reshapes and ``ndarray.dot``
 # calls: each does exactly what the pairwise ``np.tensordot`` it replaces
@@ -509,43 +480,41 @@ def env_right_step(env, bra, op, ket):
 
 
 class FrameEnvCache:
-    """Left/right environments of a sweep frame against one operator.
+    """Left/right environments of a sweep frame against a tuple of operators.
 
-    ``left[p]`` contracts cores 0..p-1 and ``right[p]`` cores p+1..m-1;
+    ``left[p]`` holds one environment per operator contracting cores
+    0..p-1, and ``right[p]`` one per operator contracting cores p+1..m-1;
     entries are valid for p <= block_index resp. p >= block_index and are
     refreshed one contraction at a time as the block moves, so a whole sweep
     costs O(m) environment updates instead of O(m^2).
     """
 
-    def __init__(self, op: TTOperator, cores: list[np.ndarray], block_index: int):
+    def __init__(self, ops: tuple[TTOperator, ...], cores: list[np.ndarray], block_index: int):
         m = len(cores)
-        self.op = op
-        self.left: list[np.ndarray | None] = [None] * m
-        self.right: list[np.ndarray | None] = [None] * m
-        self.left[0] = np.ones((1, 1, 1))
-        self.right[m - 1] = np.ones((1, 1, 1))
+        self.ops = ops
+        self.left: list[tuple | None] = [None] * m
+        self.right: list[tuple | None] = [None] * m
+        self.left[0] = self.right[m - 1] = tuple(np.ones((1, 1, 1)) for _ in self.ops)
         for p in range(m - 1, block_index, -1):
-            self.right[p - 1] = env_right_step(
-                self.right[p], cores[p], op.cores[p], cores[p]
-            )
+            self.right[p - 1] = self.step(-1, self.right[p], p, cores[p])
         for p in range(block_index):
-            self.left[p + 1] = env_left_step(
-                self.left[p], cores[p], op.cores[p], cores[p]
-            )
+            self.left[p + 1] = self.step(+1, self.left[p], p, cores[p])
+
+    def step(self, direction: int, envs: tuple, p: int, core: np.ndarray) -> tuple:
+        """The environments ``envs`` carried past mode p, one per operator.
+
+        Direction +1 extends left environments and -1 right ones; ``core``
+        is the frame core at p, on both the bra and the ket side.
+        """
+        kernel = env_left_step if direction == +1 else env_right_step
+        return tuple(kernel(e, core, op.cores[p], core) for e, op in zip(envs, self.ops))
 
     def refresh_after_shift(self, cores: list[np.ndarray], old_index: int, new_index: int):
-        if new_index == old_index + 1:
-            g = cores[old_index]
-            self.left[new_index] = env_left_step(
-                self.left[old_index], g, self.op.cores[old_index], g
-            )
-        elif new_index == old_index - 1:
-            g = cores[old_index]
-            self.right[new_index] = env_right_step(
-                self.right[old_index], g, self.op.cores[old_index], g
-            )
-        else:
+        direction = new_index - old_index
+        if direction not in (+1, -1):
             raise ValueError("block moves one mode at a time")
+        side = self.left if direction == +1 else self.right
+        side[new_index] = self.step(direction, side[old_index], old_index, cores[old_index])
 
 
 def env_apply(left, op_core, right, y: np.ndarray) -> np.ndarray:
@@ -563,7 +532,7 @@ def frame_project(
     """Explicit projected matrix X_frame^H A X_frame.
 
     ``envs`` is the (left, right) environment pair of ``a`` at the open
-    position, as kept by a ``FrameEnvCache``.
+    position, one entry of a ``FrameEnvCache``'s tuples on each side.
     """
     if a.mode_sizes != _as_tuple(g.shape[1] for g in frame.cores):
         raise ValueError("mode mismatch between frame and operator")

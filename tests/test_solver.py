@@ -58,8 +58,7 @@ def planted_state(g: GeneratedProblem, tuple_index: int, config: SolverConfig):
     delta_0 = build_delta0(g.problem, round_tol=None)
     state = SweepState(
         x=x,
-        env_m=FrameEnvCache(delta_m, x.cores, 0),
-        env_0=FrameEnvCache(delta_0, x.cores, 0),
+        envs=FrameEnvCache((delta_m, delta_0), x.cores, 0),
         rng=np.random.default_rng(config.seed),
     )
     return state, t, delta_m, delta_0

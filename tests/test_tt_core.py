@@ -417,8 +417,33 @@ def test_frame_gram_identity():
 
 
 def _envs(frame, a):
-    cache = FrameEnvCache(a, frame.cores, frame.index)
-    return cache.left[frame.index], cache.right[frame.index]
+    cache = FrameEnvCache((a,), frame.cores, frame.index)
+    return cache.left[frame.index][0], cache.right[frame.index][0]
+
+
+def test_env_cache_refresh_equals_rebuild():
+    # walk the block across every mode and back; after each shift the
+    # refreshed pair at the new block index must be a fresh cache's, byte
+    # for byte
+    rng = np.random.default_rng(15)
+    sizes = (3, 2, 3, 2)
+    x = orthonormal_block(rng, sizes, b=2, ranks=(2, 3, 2), index=0)
+    ops = (random_operator(rng, sizes, (2, 3, 2)), random_operator(rng, sizes, (3, 2, 2)))
+    cache = FrameEnvCache(ops, x.cores, 0)
+    m = len(sizes)
+    for direction in [+1] * (m - 1) + [-1] * (m - 1):
+        old = x.block_index
+        shift_block_core(x, direction, 3, enrichment=1, rng=rng)
+        cache.refresh_after_shift(x.cores, old, x.block_index)
+        k = x.block_index
+        fresh = FrameEnvCache(ops, x.cores, k)
+        for got, want in ((cache.left[k], fresh.left[k]), (cache.right[k], fresh.right[k])):
+            assert len(got) == len(ops)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert x.block_index == 0
+    with pytest.raises(ValueError, match="one mode at a time"):
+        cache.refresh_after_shift(x.cores, 0, 2)
 
 
 def test_frame_project_matches_dense():
@@ -750,3 +775,29 @@ def test_invalid_shapes_rejected():
         TTVector([np.ones((1, 2, 2)), np.ones((3, 2, 1))])
     with pytest.raises(ValueError):
         TTOperator([np.ones((1, 2, 3, 1))])
+    v, op, blk = np.ones((1, 2, 1)), np.ones((1, 2, 2, 1)), np.ones((1, 2, 3, 1))
+    for make in (lambda: TTVector([v, v]), lambda: TTOperator([op, op]),
+                 lambda: BlockTT([blk, v], 0), lambda: BlockTT([v, blk], 1)):
+        make()  # the well-formed counterparts of the cases below
+    cases = [
+        ("empty core list", lambda: TTVector([])),
+        ("empty core list", lambda: TTOperator([])),
+        ("block index out of range", lambda: BlockTT([], 0)),
+        ("must be 3D", lambda: TTVector([v, op])),
+        ("must be 4D", lambda: TTOperator([op, v])),
+        ("must be 4D", lambda: BlockTT([v, v], 0)),
+        ("must be 3D", lambda: BlockTT([blk, blk], 0)),
+        ("boundary ranks", lambda: TTVector([np.ones((2, 2, 1))])),
+        ("boundary ranks", lambda: TTOperator([np.ones((1, 2, 2, 2))])),
+        ("boundary ranks", lambda: BlockTT([blk, np.ones((1, 2, 3))], 0)),
+        ("rank mismatch between cores 0 and 1",
+         lambda: TTOperator([np.ones((1, 2, 2, 2)), np.ones((3, 2, 2, 1))])),
+        ("rank mismatch between cores 1 and 2",
+         lambda: BlockTT([v, np.ones((1, 2, 3, 2)), np.ones((3, 2, 1))], 1)),
+        ("square modes", lambda: TTOperator([op, np.ones((1, 3, 2, 1))])),
+        ("block index out of range", lambda: BlockTT([blk], 1)),
+        ("block index out of range", lambda: BlockTT([blk], -1)),
+    ]
+    for message, make in cases:
+        with pytest.raises(ValueError, match=message):
+            make()
