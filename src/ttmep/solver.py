@@ -416,7 +416,8 @@ def sweep_step(
 
     t0 = time.perf_counter()
     q = len(state.found)
-    geig = generalized_eig(pm, p0)
+    geig = generalized_eig(pm, p0, overwrite=True)
+    del pm, p0  # factored in place; only the Schur forms are left in them
     indices, padded = select_ritz(geig, 2 * b + q, config.ritz_rule)
     t_eig = time.perf_counter() - t0
 
@@ -426,7 +427,7 @@ def sweep_step(
     rr = x.cores[k].shape[3]
     candidates = []
     for i in indices:
-        vec = geig.right[:, i]
+        vec = geig.vector(i)
         coeff = (vec / np.linalg.norm(vec)).reshape(rl, n_k, rr)
         candidates.append(
             check_convergence(
@@ -490,8 +491,9 @@ def solve(
     """
     config = config or SolverConfig()
     work = apply_shift(prob, -target) if target != 0.0 else prob
-    delta_m = build_delta_i(work, work.m, round_tol=config.delta_round_tol)
+    # the smaller rounded operator, Delta_0, is the one held while the other is built
     delta_0 = build_delta0(work, round_tol=config.delta_round_tol)
+    delta_m = build_delta_i(work, work.m, round_tol=config.delta_round_tol)
     state = make_state(work, delta_m, delta_0, config)
     m = work.m
     records: list[StepRecord] = []

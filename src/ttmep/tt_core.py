@@ -358,10 +358,11 @@ def _round_cores(cores: list, tol: float, max_rank: int | None = None) -> list:
     product that absorbed a transfer. Phase 2 runs ``gesdd`` on a
     Fortran-ordered buffer filled from each core. ``np.einsum`` sums in an
     order that depends on its operands' strides, so the layouts are fixed:
-    cores enter C-contiguous, each phase-1 core is the transposed view of a
-    C-ordered Q, every transfer is C-ordered, and each rounded core is
-    stored compact and C-contiguous rather than as a view into its SVD
-    factor.
+    cores enter C-contiguous; each phase-1 core is the transposed view of a
+    C-ordered Q, and the transfer it passes left is ``r.T``, the transposed
+    (Fortran-contiguous) view of a C-ordered R; phase 2's transfer
+    ``s * vh`` is C-ordered; and each rounded core is stored compact and
+    C-contiguous rather than as a view into its SVD factor.
     """
     import scipy.linalg  # on use, as in _positive_qr
 
@@ -529,10 +530,13 @@ def env_apply(left, op_core, right, y: np.ndarray) -> np.ndarray:
 def frame_project(
     frame: FrameContext, a: TTOperator, envs, dim_cap: int = 10_000
 ) -> np.ndarray:
-    """Explicit projected matrix X_frame^H A X_frame.
+    """Explicit projected matrix X_frame^H A X_frame, Fortran-ordered.
 
     ``envs`` is the (left, right) environment pair of ``a`` at the open
-    position, one entry of a ``FrameEnvCache``'s tuples on each side.
+    position, one entry of a ``FrameEnvCache``'s tuples on each side. The
+    einsum writes the transpose's index order and the result is its ``.T``,
+    so LAPACK can factor the matrix in place; the values are those of the
+    C-ordered ``"xiuyjv"`` contraction, bit for bit.
     """
     if a.mode_sizes != _as_tuple(g.shape[1] for g in frame.cores):
         raise ValueError("mode mismatch between frame and operator")
@@ -541,9 +545,9 @@ def frame_project(
         raise CapExceededError(f"projected dimension {dim} exceeds cap {dim_cap}")
     left, right = envs
     mat = np.einsum(
-        "xay,aijc,ucv->xiuyjv", left, a.cores[frame.index], right, optimize=True
+        "xay,aijc,ucv->yjvxiu", left, a.cores[frame.index], right, optimize=True
     )
-    return mat.reshape(dim, dim)
+    return mat.reshape(dim, dim).T
 
 
 def densify_frame(frame: FrameContext) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Contracts of the LAPACK-backed dense kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ttmep.dense_kernels import (
+    BETA_FLOOR,
     GeneralizedEigenResult,
     SingularPencilError,
+    _frobenius,
     generalized_eig,
     principal_cosine,
     select_ritz,
@@ -54,12 +59,104 @@ def test_generalized_eig_validates_shapes():
         generalized_eig(np.eye(3), np.eye(4))
 
 
+def _scipy_eig(m, n):
+    """The solve as ``scipy.linalg.eig`` returns it, flagged by the same rule."""
+    (alpha, beta), vr = sla.eig(m, n, homogeneous_eigvals=True, check_finite=False)
+    scale_n = max(float(np.linalg.norm(n)), np.finfo(float).tiny)
+    finite = np.abs(beta) > BETA_FLOOR * scale_n
+    lam = np.full(alpha.shape, complex(np.inf), dtype=complex)
+    lam[finite] = alpha[finite] / beta[finite]
+    return lam, finite, vr
+
+
+def _real_spectrum_pencil(rng, d):
+    # Q T Z^T and Q S Z^T with triangular T, S: separated real eigenvalues
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    z, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    t = np.triu(rng.standard_normal((d, d)), 1) + np.diag(np.arange(1.0, d + 1))
+    s = np.triu(rng.standard_normal((d, d)), 1) + np.eye(d)
+    return q @ t @ z.T, q @ s @ z.T
+
+
+def _pencils():
+    rng = np.random.default_rng(7)
+    real_m, real_n = _real_spectrum_pencil(rng, 12)
+    singular_n = rng.standard_normal((15, 15))
+    singular_n[:, -2:] = 0.0
+    return {
+        "real-spectrum": (real_m, real_n),
+        "complex-pairs": (rng.standard_normal((30, 30)), rng.standard_normal((30, 30))),
+        "complex-pencil": (
+            rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25)),
+            rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25)),
+        ),
+        "infinite": (rng.standard_normal((15, 15)), singular_n),
+    }
+
+
+@pytest.mark.parametrize("case", ["real-spectrum", "complex-pairs", "complex-pencil", "infinite"])
+def test_generalized_eig_equals_scipy_eig_bytes(case):
+    m, n = _pencils()[case]
+    lam, finite, vr = _scipy_eig(m, n)
+    res = generalized_eig(m, n)
+    assert res.eigenvalues.tobytes() == lam.tobytes()
+    assert np.array_equal(res.finite, finite)
+    for i in range(lam.size):
+        v = res.vector(i)
+        assert v.dtype == vr.dtype and v.tobytes() == np.ascontiguousarray(vr[:, i]).tobytes()
+    right = res.right
+    assert right.dtype == vr.dtype and right.tobytes() == np.ascontiguousarray(vr).tobytes()
+    if case == "real-spectrum":
+        assert res.pair_marks is None and vr.dtype == float
+    if case == "complex-pairs":
+        assert res.pair_marks is not None and res.pair_marks.any()
+    if case == "infinite":
+        assert int(np.count_nonzero(~res.finite)) == 2
+
+
+@pytest.mark.parametrize("case", ["complex-pairs", "complex-pencil"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_generalized_eig_overwrite_false_leaves_inputs(case, order):
+    m, n = (np.array(a, order=order) for a in _pencils()[case])
+    m0, n0 = m.copy(), n.copy()
+    res = generalized_eig(m, n)
+    assert m.tobytes() == m0.tobytes() and n.tobytes() == n0.tobytes()
+    # in place on Fortran-ordered copies: the same bytes
+    inplace = generalized_eig(np.asfortranarray(m0), np.asfortranarray(n0), overwrite=True)
+    assert inplace.eigenvalues.tobytes() == res.eigenvalues.tobytes()
+    assert inplace.right.tobytes() == res.right.tobytes()
+
+
+def test_pencil_scale_ignores_layout():
+    # the BETA_FLOOR scales sum in C order whatever the pencil's layout
+    # (summed in memory order, some of these would differ in the last bit)
+    for seed in range(4):
+        a = np.random.default_rng(seed).standard_normal((200, 200))
+        for mat in (a, a + 1j * a.T):
+            assert _frobenius(np.asfortranarray(mat)) == float(np.linalg.norm(mat))
+
+
+def test_generalized_eig_in_place_peak():
+    # at the solver's largest pencil (d=490) the solve owns about one
+    # matrix: LAPACK's right vectors; the pencil is factored in its buffers
+    rng = np.random.default_rng(8)
+    m = np.asfortranarray(rng.standard_normal((490, 490)))
+    n = np.asfortranarray(rng.standard_normal((490, 490)))
+    tracemalloc.start()
+    try:
+        generalized_eig(m, n, overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m.nbytes
+
+
 def _result(values):
     lam = np.asarray(values, dtype=complex)
     return GeneralizedEigenResult(
         eigenvalues=lam,
         finite=np.ones(lam.shape, dtype=bool),
-        right=np.eye(lam.size, dtype=complex),
+        lapack_right=np.eye(lam.size, dtype=complex),
     )
 
 
@@ -95,7 +192,7 @@ def test_select_ritz_skips_infinite():
     res = GeneralizedEigenResult(
         eigenvalues=lam,
         finite=np.array([False, True, True]),
-        right=np.eye(3, dtype=complex),
+        lapack_right=np.eye(3, dtype=complex),
     )
     picked, _ = select_ritz(res, 3)
     assert 0 not in picked

@@ -492,6 +492,23 @@ def test_frame_project_matches_columnwise_apply():
     assert np.allclose(p, cols, atol=1e-12)
 
 
+@pytest.mark.parametrize("sizes,ranks", [((3, 3, 3), (2, 2)), ((4, 5, 4), (4, 4))])
+def test_frame_project_is_fortran_ordered_with_c_order_values(sizes, ranks):
+    # LAPACK factors the pencil in the solver's buffer only if it is
+    # Fortran-ordered; its values stay those of the C-ordered contraction
+    rng = np.random.default_rng(21)
+    x = orthonormal_block(rng, sizes, b=2, ranks=ranks)
+    frame = FrameContext.from_block(x)
+    a = random_operator(rng, sizes, (3, 4))
+    left, right = _envs(frame, a)
+    p = frame_project(frame, a, envs=(left, right))
+    want = np.einsum(
+        "xay,aijc,ucv->xiuyjv", left, a.cores[frame.index], right, optimize=True
+    ).reshape(p.shape)
+    assert p.flags["F_CONTIGUOUS"]
+    assert np.ascontiguousarray(p).tobytes() == want.tobytes()
+
+
 def test_frame_project_cap():
     rng = np.random.default_rng(20)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))

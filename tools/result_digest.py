@@ -4,11 +4,13 @@ Usage, from the root of the repository:
 
     python3 tools/result_digest.py                      # all workloads
     python3 tools/result_digest.py --workload sweep1-m9
+    python3 tools/result_digest.py --solver-seed 1 --solver-seed 2
     python3 tools/result_digest.py --src /path/to/other/tree/src
 
-For each workload, at its pinned problem and solver seeds (see
+For each workload, at its pinned problem seed (see
 ``perfbench/workloads.py``), it builds the shifted problem the benchmark
-solves and prints one JSON line with the SHA-256 digests of:
+solves and prints one JSON line per solver seed with the SHA-256 digests
+of:
 
 - ``delta_m`` and ``delta_0``: the bytes of every rounded Delta_m and
   Delta_0 core, with their shapes and dtypes;
@@ -17,12 +19,15 @@ solves and prints one JSON line with the SHA-256 digests of:
 - ``steps``: the report steps without ``wall_ms``, ``phase_ms``,
   ``padded`` and ``outcomes`` (timings, and fields older trees lack).
 
-Two trees that print the same lines compute the same operators and the
-same solve, bit for bit. Run it on both trees of a change that claims to
+The solver seed is the benchmark's pinned one unless ``--solver-seed``
+(repeatable) names others; one seed's trajectory can hide a difference
+another shows, so checks of result identity should run several. Two
+trees that print the same lines compute the same operators and the same
+solves, bit for bit. Run it on both trees of a change that claims to
 leave the results alone; ``--src`` picks the ``ttmep`` sources to import,
 so one copy of this script serves both. Pin the BLAS thread count (as
 perfbench does, ``OPENBLAS_NUM_THREADS=1``) when comparing trees. One run
-over the three workloads takes about half a minute.
+over the three workloads at one seed takes about half a minute.
 """
 
 from __future__ import annotations
@@ -75,19 +80,20 @@ def steps_digest(steps) -> str:
     return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
 
 
-def digest_workload(w) -> dict:
+def digest_workload(w, solver_seed: int) -> dict:
     from ttmep.delta_builder import build_delta0, build_delta_i
     from ttmep.mep_problem import MEProblem, generate_random_mep
     from ttmep.solver import SolverConfig, solve
-    from workloads import PROBLEM_SEED, SOLVER_SEED, exterior_shift, shifted_matrices, spectra
+    from workloads import PROBLEM_SEED, exterior_shift, shifted_matrices, spectra
 
     g = generate_random_mep(w.m, w.n, seed=PROBLEM_SEED)
     eta = exterior_shift(w, *spectra(g))
     a, b = shifted_matrices(g, eta)
     prob = MEProblem(a=a, b=b)
-    config = SolverConfig(sweeps=w.sweeps, seed=SOLVER_SEED)
+    config = SolverConfig(sweeps=w.sweeps, seed=solver_seed)
     out = {
         "workload": w.name,
+        "solver_seed": solver_seed,
         "delta_m": operator_digest(build_delta_i(prob, prob.m, round_tol=config.delta_round_tol)),
         "delta_0": operator_digest(build_delta0(prob, round_tol=config.delta_round_tol)),
     }
@@ -105,6 +111,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append",
                         help="workload name (repeatable); default: every workload")
+    parser.add_argument("--solver-seed", type=int, action="append",
+                        help="solver seed (repeatable); default: the benchmark's pinned seed")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the ttmep package to digest")
     args = parser.parse_args()
@@ -113,7 +121,7 @@ def main() -> int:
         return 2
     sys.path.insert(0, str(args.src.resolve()))
 
-    from workloads import WORKLOADS
+    from workloads import SOLVER_SEED, WORKLOADS
 
     names = args.workload or list(WORKLOADS)
     unknown = sorted(set(names) - set(WORKLOADS))
@@ -122,7 +130,8 @@ def main() -> int:
               file=sys.stderr)
         return 2
     for name in names:
-        print(json.dumps(digest_workload(WORKLOADS[name])), flush=True)
+        for seed in args.solver_seed or [SOLVER_SEED]:
+            print(json.dumps(digest_workload(WORKLOADS[name], seed)), flush=True)
     return 0
 
 
