@@ -216,6 +216,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.wanted < 0 or not args.tol >= 0:
+        raise ValueError("--wanted and --tol must be non-negative")
     report = json.loads(Path(args.report).read_text())
     found = [complex(lam[-1][0], lam[-1][1]) for lam in
              (t["lambda"] for t in report["tuples"])]

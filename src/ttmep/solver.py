@@ -16,7 +16,7 @@ closest to the target.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -73,6 +73,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block size must be positive")
+        if self.sweeps < 1:
+            raise ValueError("sweeps must be positive")
+        if self.kick < 0:
+            raise ValueError("kick must be non-negative")
         if self.resolved_max_rank < self.block_size:
             raise ValueError("max rank must be at least the block size")
         if not 0 < self.cos_threshold <= 1:
@@ -108,7 +112,8 @@ class SweepState:
     envs: FrameEnvCache  # environments of the pencil (Delta_m, Delta_0)
     rng: np.random.Generator
     found: list[EigenTuple] = field(default_factory=list)
-    estimates: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    # transported middle factors of the last step's selection, for the block mode
+    estimates: list[np.ndarray] = field(default_factory=list)
     sweep: int = 0
 
 
@@ -154,49 +159,39 @@ def rank_one_factor(tensor: np.ndarray) -> np.ndarray:
     return np.linalg.svd(unfolding, full_matrices=False)[0][:, 0]
 
 
-class _ChainWalker:
-    """Single-pair frame transported mode to mode from a Ritz pair.
+def _walk(cores, envs: FrameEnvCache, k: int, coeff, direction: int, mu: complex):
+    """Single-pair frame transported from block mode k toward a boundary.
 
-    Starting from the block mode, repeated SVD splits move the pair's
-    coefficient tensor into the neighboring mode while the traversed cores
-    join the frame, which stays orthonormal, so the projected residual at
-    every visited mode underestimates the true full-space residual.
+    Each hop moves the pair's unit coefficient tensor into the next mode in
+    ``direction`` by an SVD split, while the traversed core joins the frame,
+    which stays orthonormal; so the projected residual at every visited mode
+    underestimates the true full-space residual. Yields (mode, unit
+    coefficient, projected residual norm) after each hop.
     """
-
-    def __init__(self, cores, envs: FrameEnvCache, k: int, coeff):
-        self.cores = cores
-        self.envs = envs
-        self.pos = k
-        self.v = coeff
-        self.left = envs.left[k]
-        self.right = envs.right[k]
-
-    def hop(self, direction: int, mu: complex) -> float:
-        """Move one mode over; returns the projected residual norm there."""
-        nxt = self.pos + direction
-        if not 0 <= nxt < len(self.cores):
-            raise IndexError("walked past the boundary")
-        a, n, c = self.v.shape
+    left, right = envs.left[k], envs.right[k]
+    v = coeff
+    for pos in range(k, len(cores) - 1 if direction == +1 else 0, direction):
+        nxt = pos + direction
+        a, n, c = v.shape
         if direction == +1:
-            chain_core, carry = svd_split(self.v.reshape(a * n, c), +1)
-            self.left = self.envs.step(+1, self.left, self.pos, chain_core.reshape(a, n, -1))
-            self.v = np.einsum("sc,cjt->sjt", carry, self.cores[nxt])
-            self.right = self.envs.right[nxt]
+            chain_core, carry = svd_split(v.reshape(a * n, c), +1)
+            left = envs.step(+1, left, pos, chain_core.reshape(a, n, -1))
+            v = np.einsum("sc,cjt->sjt", carry, cores[nxt])
+            right = envs.right[nxt]
         else:
-            chain_core, carry = svd_split(self.v.reshape(a, n * c), -1)
-            self.right = self.envs.step(-1, self.right, self.pos, chain_core.reshape(-1, n, c))
-            self.v = np.einsum("xja,as->xjs", self.cores[nxt], carry)
-            self.left = self.envs.left[nxt]
-        nv = np.linalg.norm(self.v)
+            chain_core, carry = svd_split(v.reshape(a, n * c), -1)
+            right = envs.step(-1, right, pos, chain_core.reshape(-1, n, c))
+            v = np.einsum("xja,as->xjs", cores[nxt], carry)
+            left = envs.left[nxt]
+        nv = np.linalg.norm(v)
         if nv == 0:
             raise ValueError("transported coefficient vanished")
-        self.v = self.v / nv
-        self.pos = nxt
+        v = v / nv
         zm, z0 = (
-            env_apply(lt, op.cores[nxt], rt, self.v)
-            for lt, op, rt in zip(self.left, self.envs.ops, self.right)
+            env_apply(lt, op.cores[nxt], rt, v)
+            for lt, op, rt in zip(left, envs.ops, right)
         )
-        return float(np.linalg.norm(zm - mu * z0))
+        yield nxt, v, float(np.linalg.norm(zm - mu * z0))
 
 
 def estimate_residual(
@@ -209,13 +204,15 @@ def estimate_residual(
     residual of the pencil projected on that single-pair frame is returned.
     It never exceeds the pair's full-space residual norm.
     """
-    k = state.x.block_index
     coeff = np.asarray(coeff)
     nv = np.linalg.norm(coeff)
     if nv == 0:
         raise ValueError("degenerate candidate vector")
-    walker = _ChainWalker(state.x.cores, state.envs, k, coeff / nv)
-    return walker.hop(direction, mu)
+    for _mode, _v, res in _walk(
+        state.x.cores, state.envs, state.x.block_index, coeff / nv, direction, mu
+    ):
+        return res
+    raise IndexError("walked past the boundary")
 
 
 def check_convergence(
@@ -239,34 +236,22 @@ def check_convergence(
     its ``outcome`` names the test that ended the walk (``WALK_OUTCOMES``).
     """
     cores = state.x.cores
-    m = len(cores)
     k = state.x.block_index
     unit = np.asarray(coeff)
     unit = unit / np.linalg.norm(unit)
     middle = rank_one_factor(unit)
-    estimates: dict[int, np.ndarray] = {k: middle}
-    first_hop = np.inf
-    transported_middle = None
-    aborted = False
+    estimates = {k: middle}
+    cand = _Candidate(mu, coeff, middle, np.inf, None)
     for phase_dir in (direction, -direction):
-        walker = _ChainWalker(cores, state.envs, k, unit)
-        while 0 <= walker.pos + phase_dir < m:
-            res = walker.hop(phase_dir, mu)
-            if transported_middle is None:
-                first_hop = res
-                transported_middle = rank_one_factor(walker.v)
-                estimates[walker.pos] = transported_middle
+        for pos, v, res in _walk(cores, state.envs, k, unit, phase_dir, mu):
+            if cand.transported_middle is None:
+                cand.est_residual = res
+                cand.transported_middle = estimates[pos] = rank_one_factor(v)
             elif res < config.eps1:
-                estimates[walker.pos] = rank_one_factor(walker.v)
+                estimates[pos] = rank_one_factor(v)
             if res >= config.eps1:
-                aborted = True
-                break
-        if aborted:
-            break
-    cand = _Candidate(mu, coeff, middle, first_hop, transported_middle)
-    if aborted or len(estimates) < m:
-        return cand
-    vectors = [estimates[p] for p in range(m)]
+                return cand
+    vectors = [estimates[p] for p in range(len(cores))]
     cand.outcome = "trqi_failed"
     try:
         lam = tensor_rayleigh_quotient(prob, vectors)
@@ -277,8 +262,7 @@ def check_convergence(
         return cand
     cand.outcome = "keep_cut"
     keep = 4 * config.block_size
-    key = abs(t.lam[-1])
-    if len(state.found) >= keep and key >= max(abs(f.lam[-1]) for f in state.found):
+    if len(state.found) >= keep and abs(t.lam[-1]) >= abs(state.found[-1].lam[-1]):
         return cand
     cand.outcome = "duplicate"
     accept, _ratio = duplicate_check(t.vectors, state.found, delta_0, config.xi)
@@ -337,24 +321,23 @@ def select_eigenpairs(
             continue
         vec = c.coeff.reshape(-1)
         if _is_effectively_real(vec):
-            columns.append(np.real(vec).copy())
+            columns.append(np.real(vec))
             selected.append(c)
         else:
             if len(columns) + 2 > b:
                 continue
-            columns.append(np.real(vec).copy())
-            columns.append(np.imag(vec).copy())
+            columns.append(np.real(vec))
+            columns.append(np.imag(vec))
             selected.append(c)
             for other in priority:
                 if other is not c and abs(other.mu - np.conj(c.mu)) <= 1e-12 * (
                     1 + abs(c.mu)
                 ):
                     consumed.add(id(other))
-        consumed.add(id(c))
     while len(columns) < b:
         vec = rng.standard_normal(dim)
         columns.append(vec / np.linalg.norm(vec))
-    return np.stack(columns[:b], axis=1), selected
+    return np.stack(columns, axis=1), selected
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +417,8 @@ def sweep_step(
                 state, geig.eigenvalues[i], coeff, direction, delta_0, prob, config
             )
         )
-    previous = state.estimates.get(k, [])
     columns, selected = select_eigenpairs(
-        candidates, previous, b, config.cos_threshold, state.rng, dim
+        candidates, state.estimates, b, config.cos_threshold, state.rng, dim
     )
     t_sel = time.perf_counter() - t0
 
@@ -448,7 +430,7 @@ def sweep_step(
         x, direction, config.resolved_max_rank, enrichment=config.kick, rng=state.rng
     )
     state.envs.refresh_after_shift(x.cores, k, x.block_index)
-    state.estimates[k + direction] = [
+    state.estimates = [
         c.transported_middle for c in selected if c.transported_middle is not None
     ]
     t_upd = time.perf_counter() - t0
@@ -518,17 +500,7 @@ def solve(
             break
     shift = np.zeros(m, dtype=complex)
     shift[m - 1] = target
-    final = []
-    for t in state.found:
-        final.append(
-            EigenTuple(
-                lam=t.lam + shift,
-                vectors=t.vectors,
-                residual_norm=t.residual_norm,
-                left_vectors=t.left_vectors,
-                flags=t.flags,
-            )
-        )
+    final = [replace(t, lam=t.lam + shift, delta0_den=None) for t in state.found]
     final.sort(key=lambda t: (abs(t.lam[-1] - target), t.lam[-1].real, t.lam[-1].imag))
     report = {
         "target": target,

@@ -338,3 +338,19 @@ def test_solve_non_finite_problem_exits_2(tmp_path, bad):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--sweeps", "0"], ["--kick", "-3"]])
+def test_solve_bad_config_flag_exits_2(tmp_path, small_problem, flag):
+    assert main(["solve", str(small_problem), "--out", str(tmp_path / "o"), *flag]) == 2
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_compare_negative_wanted_or_tol_exits_2(tmp_path):
+    report = tmp_path / "run.json"
+    report.write_text(json.dumps({"tuples": [{"lambda": [[0.0, 0.0], [1.0, 0.0]]}]}))
+    oracle = tmp_path / "oracle.csv"
+    oracle.write_text("rank_index,lambda_m_real,lambda_m_imag\n0,1.0,0.0\n1,2.0,0.0\n")
+    assert main(["compare", str(report), str(oracle)]) == 0
+    assert main(["compare", str(report), str(oracle), "--wanted", "-1"]) == 2
+    assert main(["compare", str(report), str(oracle), "--tol", "-1"]) == 2

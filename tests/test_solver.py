@@ -195,6 +195,18 @@ def test_estimate_residual_rejects_zero_vector():
         estimate_residual(state, 1.0, np.zeros(shape), +1)
 
 
+def test_estimate_residual_rejects_a_hop_past_the_boundary():
+    g = generate_random_mep(2, 3, seed=7)
+    delta_m = build_delta_i(g.problem, 2, round_tol=None)
+    delta_0 = build_delta0(g.problem, round_tol=None)
+    state = make_state(g.problem, delta_m, delta_0, SolverConfig(block_size=1, seed=0))
+    core = state.x.cores[state.x.block_index]
+    assert state.x.block_index == 0
+    coeff = np.ones((core.shape[0], core.shape[1], core.shape[3]))
+    with pytest.raises(IndexError):
+        estimate_residual(state, 1.0, coeff, -1)
+
+
 # ---------------------------------------------------------------------------
 # convergence walk
 
@@ -272,6 +284,10 @@ def test_check_convergence_aborts_on_large_projected_residual():
     assert not walk.converged and not walk.admitted and walk.outcome == "aborted"
     assert walk.est_residual >= config.eps1
     assert state.found == []
+    # the first hop's unit rank-one factor is kept for the next step's selection
+    n_next = state.x.cores[k + 1].shape[1]
+    assert walk.transported_middle.shape == (n_next,)
+    assert np.linalg.norm(walk.transported_middle) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +508,8 @@ def test_solve_with_target_shifts_back():
         assert t.residual_norm < 1e-6
     keys = [abs(t.lam[-1] - target) for t in tuples]
     assert keys == sorted(keys)
+    # the screen denominator belongs to the shifted problem's Delta_0
+    assert all(t.delta0_den is None for t in tuples)
 
 
 def test_solve_empty_result_is_legal():
@@ -512,6 +530,10 @@ def test_config_validation():
         SolverConfig(block_size=3, max_rank=2)
     with pytest.raises(ValueError):
         SolverConfig(cos_threshold=1.5)
+    with pytest.raises(ValueError):
+        SolverConfig(sweeps=0)
+    with pytest.raises(ValueError):
+        SolverConfig(kick=-3)
 
 
 def _admitted_per_sweep(report) -> dict[int, int]:

@@ -16,8 +16,9 @@ of:
   Delta_0 core, with their shapes and dtypes;
 - ``tuples``: the returned tuples (lambda, right and left vectors,
   residual norm, flags), in the order ``solve`` returns them;
-- ``steps``: the report steps without ``wall_ms``, ``phase_ms``,
-  ``padded`` and ``outcomes`` (timings, and fields older trees lack).
+- ``steps``: the report steps without their timings ``wall_ms`` and
+  ``phase_ms``; ``padded`` and ``outcomes`` are digested, so the walk
+  outcomes of every candidate count too.
 
 The solver seed is the benchmark's pinned one unless ``--solver-seed``
 (repeatable) names others; one seed's trajectory can hide a difference
@@ -43,9 +44,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-# fields of a report step that are timings, or were added after the steps
-# were first digested
-UNDIGESTED_STEP_FIELDS = ("wall_ms", "phase_ms", "padded", "outcomes")
+# fields of a report step that are timings
+UNDIGESTED_STEP_FIELDS = ("wall_ms", "phase_ms")
 
 
 def _update_array(h, arr) -> None:
