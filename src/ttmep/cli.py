@@ -190,6 +190,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.how_many < 1:
+        raise ValueError("--how-many must be positive")
     loaded = load_problem(args.problem)
     if not isinstance(loaded, GeneratedProblem):
         raise ValueError("oracle needs a problem file with generator metadata")
@@ -266,11 +268,16 @@ def _sampled_lambda_m_min(g, seed: int) -> float:
 def cmd_bench(args) -> int:
     if args.m_range:
         lo, hi = (int(x) for x in args.m_range.split(":"))
-        params = [("m", m, m, args.n) for m in range(lo, hi + 1)]
+        step = 1
     else:
-        parts = [int(x) for x in args.n_range.split(":")]
-        step = parts[2] if len(parts) > 2 else 1
-        params = [("n", n, args.m, n) for n in range(parts[0], parts[1] + 1, step)]
+        lo, hi, *rest = (int(x) for x in args.n_range.split(":"))
+        step = rest[0] if rest else 1
+    if lo > hi or step < 1:
+        raise ValueError("a range A:B[:STEP] needs A <= B and STEP >= 1")
+    params = [
+        ("m", v, v, args.n) if args.m_range else ("n", v, args.m, v)
+        for v in range(lo, hi + 1, step)
+    ]
     rows = []
     warnings = []
     for label, value, m, n in params:

@@ -127,5 +127,4 @@ def shift_generated(g: GeneratedProblem, eta: float) -> GeneratedProblem:
         ],
         spectrum_b=[[s.copy() for s in row] for row in g.spectrum_b],
         seed=g.seed,
-        style=g.style,
     )

@@ -21,7 +21,6 @@ from .tt_core import CapExceededError, TTOperator, rank_one_bilinear
 ORACLE_CAP = 10_000_000
 # multi-indices solved per batch by oracle_eigenvalues
 ORACLE_CHUNK = 200_000
-GENERATOR_STYLES = ("cheb-powers",)
 
 
 class SingularRayleighError(RuntimeError):
@@ -74,7 +73,7 @@ class EigenTuple:
     delta0_den: float | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def build(cls, prob: MEProblem, lam, vectors, left_vectors=None, flags=()):
+    def build(cls, prob: MEProblem, lam, vectors, flags=()):
         lam = np.asarray(lam, dtype=complex).reshape(-1)
         vecs = []
         for v in vectors:
@@ -84,7 +83,7 @@ class EigenTuple:
                 raise ValueError("zero eigenvector component")
             vecs.append(v / nv)
         _, norm = residual_tuple(prob, lam, vecs)
-        return cls(lam, vecs, norm, left_vectors, tuple(flags))
+        return cls(lam, vecs, norm, flags=tuple(flags))
 
 
 @dataclass
@@ -97,7 +96,6 @@ class GeneratedProblem:
     spectrum_a: list[np.ndarray]
     spectrum_b: list[list[np.ndarray]]
     seed: int
-    style: str = "cheb-powers"
 
     @property
     def m(self) -> int:
@@ -157,9 +155,7 @@ def chebyshev_lobatto(n: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(n) / (n - 1))
 
 
-def generate_random_mep(
-    m: int, n: int, seed: int, style: str = "cheb-powers"
-) -> GeneratedProblem:
+def generate_random_mep(m: int, n: int, seed: int) -> GeneratedProblem:
     """Seeded random problem with exactly solvable spectrum.
 
     Per equation i the factors are U_i, Z_i = I + 0.3*uniform(n, n). The A
@@ -170,8 +166,6 @@ def generate_random_mep(
     """
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
-    if style not in GENERATOR_STYLES:
-        raise ValueError(f"unknown generator style {style!r}")
     rng = np.random.default_rng(seed)
     u_factors = []
     z_factors = []
@@ -202,7 +196,6 @@ def generate_random_mep(
         spectrum_a=spectrum_a,
         spectrum_b=spectrum_b,
         seed=seed,
-        style=style,
     )
 
 
@@ -412,10 +405,11 @@ def duplicate_check(
 # problem files
 #
 # JSON: {"m", "sizes", "A": [matrix as list of rows ...],
-#        "B": [[matrix ...] ...], "generator": {"seed", "style", "a", "b"}}
+#        "B": [[matrix ...] ...], "generator": {"seed", "a", "b"}}
 # The generator block is optional; when present, the problem is regenerated
 # from the seed on load and checked against the stored matrices so exact
-# oracle enumeration stays available.
+# oracle enumeration stays available. Older files also carry a "style" key,
+# which is ignored.
 
 
 def problem_to_json(prob: MEProblem | GeneratedProblem) -> dict:
@@ -430,7 +424,6 @@ def problem_to_json(prob: MEProblem | GeneratedProblem) -> dict:
     if g is not None:
         doc["generator"] = {
             "seed": g.seed,
-            "style": g.style,
             "a": [s.tolist() for s in g.spectrum_a],
             "b": [[s.tolist() for s in row] for row in g.spectrum_b],
         }
@@ -450,7 +443,7 @@ def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:
         return prob
     # the seed pins the factors; the stored spectra are authoritative (they
     # may have been shifted since generation)
-    regen = generate_random_mep(m, sizes[0], int(gen["seed"]), gen.get("style", "cheb-powers"))
+    regen = generate_random_mep(m, sizes[0], int(gen["seed"]))
     g = GeneratedProblem(
         problem=prob,
         u_factors=regen.u_factors,
@@ -458,7 +451,6 @@ def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:
         spectrum_a=[np.asarray(s, dtype=float) for s in gen["a"]],
         spectrum_b=[[np.asarray(s, dtype=float) for s in row] for row in gen["b"]],
         seed=int(gen["seed"]),
-        style=gen.get("style", "cheb-powers"),
     )
     if g.reconstruction_error() > 1e-11:
         raise ValueError("generator metadata does not reproduce the stored matrices")

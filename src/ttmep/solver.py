@@ -15,6 +15,7 @@ closest to the target.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -82,8 +83,10 @@ class SolverConfig:
         if not 0 < self.cos_threshold <= 1:
             raise ValueError("cosine threshold must lie in (0, 1]")
         for name in ("eps", "eps1", "xi"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.delta_round_tol is not None and not 0 <= self.delta_round_tol < math.inf:
+            raise ValueError("rounding tolerance must be non-negative and finite")
 
     @property
     def resolved_max_rank(self) -> int:

@@ -655,11 +655,6 @@ def shift_block_core(
 #
 # JSON: {"kind": "tt-vector"|"tt-operator", "order": m,
 #        "mode_sizes": [...], "ranks": [...], "cores": [flat row-major lists]}
-# Binary: magic b"TTV1"/b"TTO1", then little-endian uint64 fields
-#        m, mode_sizes[m], ranks[m+1], then each core as float64 row-major.
-
-
-_MAGIC = {"tt-vector": b"TTV1", "tt-operator": b"TTO1"}
 
 
 def _core_shapes(kind, sizes, ranks):
@@ -669,6 +664,9 @@ def _core_shapes(kind, sizes, ranks):
 
 
 def tt_to_json(t: TTVector | TTOperator) -> dict:
+    """JSON document of a real train; complex cores raise ``ValueError``."""
+    if any(np.iscomplexobj(g) for g in t.cores):
+        raise ValueError("JSON holds real trains only; split complex cores into parts")
     kind = "tt-vector" if isinstance(t, TTVector) else "tt-operator"
     return {
         "kind": kind,
@@ -681,7 +679,7 @@ def tt_to_json(t: TTVector | TTOperator) -> dict:
 
 def tt_from_json(doc: dict) -> TTVector | TTOperator:
     kind = doc["kind"]
-    if kind not in _MAGIC:
+    if kind not in ("tt-vector", "tt-operator"):
         raise ValueError(f"unknown kind {kind!r}")
     sizes = _as_tuple(doc["mode_sizes"])
     ranks = _as_tuple(doc["ranks"])
@@ -690,37 +688,4 @@ def tt_from_json(doc: dict) -> TTVector | TTOperator:
         np.asarray(flat, dtype=np.float64).reshape(shape)
         for flat, shape in zip(doc["cores"], shapes)
     ]
-    return TTVector(cores) if kind == "tt-vector" else TTOperator(cores)
-
-
-def tt_to_bytes(t: TTVector | TTOperator) -> bytes:
-    kind = "tt-vector" if isinstance(t, TTVector) else "tt-operator"
-    head = [np.uint64(t.order).tobytes()]
-    head.append(np.asarray(t.mode_sizes, dtype="<u8").tobytes())
-    head.append(np.asarray(t.ranks, dtype="<u8").tobytes())
-    body = [np.ascontiguousarray(g, dtype="<f8").tobytes() for g in t.cores]
-    return _MAGIC[kind] + b"".join(head) + b"".join(body)
-
-
-def tt_from_bytes(buf: bytes) -> TTVector | TTOperator:
-    magic, buf = buf[:4], buf[4:]
-    kinds = {v: k for k, v in _MAGIC.items()}
-    if magic not in kinds:
-        raise ValueError("bad magic")
-    kind = kinds[magic]
-    m = int(np.frombuffer(buf[:8], dtype="<u8")[0])
-    off = 8
-    sizes = _as_tuple(np.frombuffer(buf[off : off + 8 * m], dtype="<u8"))
-    off += 8 * m
-    ranks = _as_tuple(np.frombuffer(buf[off : off + 8 * (m + 1)], dtype="<u8"))
-    off += 8 * (m + 1)
-    cores = []
-    for shape in _core_shapes(kind, sizes, ranks):
-        count = int(np.prod(shape))
-        cores.append(
-            np.frombuffer(buf[off : off + 8 * count], dtype="<f8").reshape(shape).copy()
-        )
-        off += 8 * count
-    if off != len(buf):
-        raise ValueError("trailing bytes in serialized train")
     return TTVector(cores) if kind == "tt-vector" else TTOperator(cores)

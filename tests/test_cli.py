@@ -340,10 +340,34 @@ def test_solve_non_finite_problem_exits_2(tmp_path, bad):
     assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("flag", [["--sweeps", "0"], ["--kick", "-3"]])
-def test_solve_bad_config_flag_exits_2(tmp_path, small_problem, flag):
+@pytest.mark.parametrize("flag", [
+    ["--sweeps", "0"], ["--kick", "-3"],
+    ["--eps1", "nan"], ["--xi", "nan"], ["--xi", "inf"], ["--eps", "nan"], ["--eps", "inf"],
+    ["--round-tol", "-1"], ["--round-tol", "nan"], ["--round-tol", "inf"],
+])
+def test_solve_bad_config_flag_exits_2(tmp_path, small_problem, flag, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran with an invalid config")
+
+    monkeypatch.setattr("ttmep.cli.solve", no_solve)
     assert main(["solve", str(small_problem), "--out", str(tmp_path / "o"), *flag]) == 2
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_oracle_non_positive_how_many_exits_2(tmp_path, small_problem, count):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", str(small_problem), "--how-many", count, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [
+    ["--m-range", "3:2"], ["--n-range", "5:3"], ["--n-range", "3:5:0"], ["--n-range", "5:3:-1"],
+])
+def test_bench_empty_or_reversed_range_exits_2(tmp_path, flag):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", *flag, "--n", "3", "--m", "2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_compare_negative_wanted_or_tol_exits_2(tmp_path):

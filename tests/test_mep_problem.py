@@ -140,8 +140,6 @@ def test_generator_validates_arguments():
         generate_random_mep(1, 4, seed=0)
     with pytest.raises(ValueError):
         generate_random_mep(2, 1, seed=0)
-    with pytest.raises(ValueError):
-        generate_random_mep(2, 4, seed=0, style="other")
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +472,16 @@ def test_problem_json_plain_matrices(tmp_path):
     back = problem_from_json(doc)
     assert isinstance(back, MEProblem)
     assert np.allclose(back.a[0], g.problem.a[0])
+
+
+def test_problem_json_ignores_the_style_of_older_files():
+    g = generate_random_mep(2, 3, seed=27)
+    doc = problem_to_json(g)
+    assert "style" not in doc["generator"]
+    doc["generator"]["style"] = "cheb-powers"
+    back = problem_from_json(doc)
+    assert isinstance(back, GeneratedProblem)
+    assert problem_to_json(back) == problem_to_json(g)
 
 
 def test_problem_json_detects_tampering(tmp_path):

@@ -534,6 +534,14 @@ def test_config_validation():
         SolverConfig(sweeps=0)
     with pytest.raises(ValueError):
         SolverConfig(kick=-3)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"eps1": nan}, {"xi": nan}, {"xi": inf}, {"eps": nan}, {"eps": inf},
+                {"delta_round_tol": -1.0}, {"delta_round_tol": nan},
+                {"delta_round_tol": inf}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    assert SolverConfig(delta_round_tol=None).delta_round_tol is None
+    assert SolverConfig(delta_round_tol=0.0).delta_round_tol == 0.0
 
 
 def _admitted_per_sweep(report) -> dict[int, int]:

@@ -31,12 +31,10 @@ from ttmep.tt_core import (
     rank_one_bilinear,
     shift_block_core,
     svd_split,
-    tt_from_bytes,
     tt_from_json,
     tt_matvec,
     tt_round,
     tt_round_operator,
-    tt_to_bytes,
     tt_to_json,
 )
 
@@ -774,15 +772,14 @@ def test_json_round_trip_vector_and_operator():
     assert all(np.array_equal(x, y) for x, y in zip(a.cores, a2.cores))
 
 
-def test_binary_round_trip():
+def test_json_rejects_complex_cores_and_unknown_kinds():
     rng = np.random.default_rng(27)
-    v = random_tt(rng, (2, 3, 4), (1, 2, 3, 1))
-    v2 = tt_from_bytes(tt_to_bytes(v))
-    assert isinstance(v2, TTVector)
-    assert all(np.array_equal(a, b) for a, b in zip(v.cores, v2.cores))
-    a = random_operator(rng, (2, 2, 2), (2, 2))
-    a2 = tt_from_bytes(tt_to_bytes(a))
-    assert all(np.array_equal(x, y) for x, y in zip(a.cores, a2.cores))
+    v = random_tt(rng, (2, 3), (1, 2, 1))
+    v.cores[1] = v.cores[1] + 1j * rng.standard_normal(v.cores[1].shape)
+    with pytest.raises(ValueError):
+        tt_to_json(v)
+    with pytest.raises(ValueError):
+        tt_from_json({**tt_to_json(random_tt(rng, (2, 3), (1, 2, 1))), "kind": "tt-block"})
 
 
 def test_invalid_shapes_rejected():

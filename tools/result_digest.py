@@ -42,7 +42,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
 
 # fields of a report step that are timings
 UNDIGESTED_STEP_FIELDS = ("wall_ms", "phase_ms")
@@ -80,16 +79,22 @@ def steps_digest(steps) -> str:
     return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
 
 
-def digest_workload(w, solver_seed: int) -> dict:
-    from ttmep.delta_builder import build_delta0, build_delta_i
+def workload_problem(w):
+    """The shifted problem a workload solves, and its shifted spectra."""
     from ttmep.mep_problem import MEProblem, generate_random_mep
-    from ttmep.solver import SolverConfig, solve
-    from workloads import PROBLEM_SEED, exterior_shift, shifted_matrices, spectra
+    from workloads import PROBLEM_SEED, exterior_shift, shifted_matrices, shifted_spectra, spectra
 
     g = generate_random_mep(w.m, w.n, seed=PROBLEM_SEED)
     eta = exterior_shift(w, *spectra(g))
     a, b = shifted_matrices(g, eta)
-    prob = MEProblem(a=a, b=b)
+    return MEProblem(a=a, b=b), shifted_spectra(*spectra(g), eta)
+
+
+def digest_workload(w, solver_seed: int) -> dict:
+    from ttmep.delta_builder import build_delta0, build_delta_i
+    from ttmep.solver import SolverConfig, solve
+
+    prob, _ = workload_problem(w)
     config = SolverConfig(sweeps=w.sweeps, seed=solver_seed)
     out = {
         "workload": w.name,
@@ -107,31 +112,36 @@ def digest_workload(w, solver_seed: int) -> dict:
     return out
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def selected_runs(description: str) -> list:
+    """Parse --workload, --solver-seed and --src; return (workload, seed) pairs.
+
+    The ``ttmep`` package under ``--src`` and perfbench's modules go on the
+    import path. A bad switch exits with status 2.
+    """
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--workload", action="append",
                         help="workload name (repeatable); default: every workload")
     parser.add_argument("--solver-seed", type=int, action="append",
                         help="solver seed (repeatable); default: the benchmark's pinned seed")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the ttmep package to digest")
+                        help="directory holding the ttmep package to run")
     args = parser.parse_args()
     if not (args.src / "ttmep" / "__init__.py").is_file():
-        print(f"result_digest: no ttmep package under {args.src}", file=sys.stderr)
-        return 2
-    sys.path.insert(0, str(args.src.resolve()))
+        parser.error(f"no ttmep package under {args.src}")
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
 
     from workloads import SOLVER_SEED, WORKLOADS
 
     names = args.workload or list(WORKLOADS)
     unknown = sorted(set(names) - set(WORKLOADS))
     if unknown:
-        print(f"result_digest: unknown workload(s) {unknown}; one of {sorted(WORKLOADS)}",
-              file=sys.stderr)
-        return 2
-    for name in names:
-        for seed in args.solver_seed or [SOLVER_SEED]:
-            print(json.dumps(digest_workload(WORKLOADS[name], seed)), flush=True)
+        parser.error(f"unknown workload(s) {unknown}; one of {sorted(WORKLOADS)}")
+    return [(WORKLOADS[name], seed) for name in names for seed in args.solver_seed or [SOLVER_SEED]]
+
+
+def main() -> int:
+    for w, seed in selected_runs(__doc__.split("\n\n")[0]):
+        print(json.dumps(digest_workload(w, seed)), flush=True)
     return 0
 
 
