@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .delta_builder import shift_generated
+from .delta_builder import DELTA_ROUND_TOL, shift_generated
 from .dense_kernels import SingularPencilError
 from .mep_problem import (
     GeneratedProblem,
@@ -290,7 +290,7 @@ def cmd_bench(args) -> int:
             config = SolverConfig(
                 sweeps=args.sweeps,
                 seed=args.seed,
-                delta_round_tol=1e-13 if rounded else None,
+                delta_round_tol=DELTA_ROUND_TOL if rounded else None,
             )
             t0 = time.perf_counter()
             _tuples, report = solve(shifted, target=0.0, config=config)

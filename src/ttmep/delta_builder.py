@@ -18,6 +18,9 @@ import numpy as np
 from .mep_problem import GeneratedProblem, MEProblem
 from .tt_core import TTOperator, _round_cores
 
+# default Delta rounding tolerance, for the builders and ``SolverConfig``
+DELTA_ROUND_TOL = 1e-13
+
 
 def determinant_factor(k: int, n: int, a: np.ndarray) -> np.ndarray:
     """Factor D_{k,n}(a) of shape (C(n,k-1), C(n,k)).
@@ -68,20 +71,20 @@ def _factor_pattern(k: int, n: int) -> tuple[np.ndarray, ...]:
     return pattern
 
 
-def build_delta0(prob: MEProblem, round_tol: float | None = 1e-13) -> TTOperator:
+def build_delta0(prob: MEProblem, round_tol: float | None = DELTA_ROUND_TOL) -> TTOperator:
     """Train operator equal to the signed sum over permutations of
     kron(B_{1,sigma_1}, ..., B_{m,sigma_m}).
 
     Core k places the stack [B_{k1}(i,j), ..., B_{km}(i,j)] on the nonzero
     pattern of the determinant factor, giving interior ranks exactly C(m, k)
-    before rounding. Rounding (default tolerance 1e-13) usually reduces the
-    ranks to at most n_k^2 and is skippable with ``round_tol=None``.
+    before rounding. Rounding (default tolerance ``DELTA_ROUND_TOL``) usually
+    reduces the ranks to at most n_k^2 and is skippable with ``round_tol=None``.
     """
     return _build_delta(prob, replace_col=None, round_tol=round_tol)
 
 
 def build_delta_i(
-    prob: MEProblem, i: int, round_tol: float | None = 1e-13
+    prob: MEProblem, i: int, round_tol: float | None = DELTA_ROUND_TOL
 ) -> TTOperator:
     """Same construction with column i (1-based) replaced by (A_1, ..., A_m)."""
     if not 1 <= i <= prob.m:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .dense_kernels import generalized_eig, principal_cosine, select_ritz
-from .delta_builder import apply_shift, build_delta0, build_delta_i
+from .delta_builder import DELTA_ROUND_TOL, apply_shift, build_delta0, build_delta_i
 from .mep_problem import (
     EigenTuple,
     MEProblem,
@@ -35,7 +35,6 @@ from .mep_problem import (
 )
 from .tt_core import (
     BlockTT,
-    FrameContext,
     FrameEnvCache,
     TTOperator,
     env_apply,
@@ -67,7 +66,7 @@ class SolverConfig:
     eps1: float = 1e-8
     xi: float = 1e-4
     cos_threshold: float = 0.99
-    delta_round_tol: float | None = 1e-13  # None skips operator rounding
+    delta_round_tol: float | None = DELTA_ROUND_TOL  # None skips operator rounding
     seed: int = 0
     ritz_rule: str = "positive-real-part"
 
@@ -87,6 +86,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.delta_round_tol is not None and not 0 <= self.delta_round_tol < math.inf:
             raise ValueError("rounding tolerance must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def resolved_max_rank(self) -> int:
@@ -390,14 +391,14 @@ def sweep_step(
     x = state.x
     k = x.block_index
     b = config.block_size
-    frame = FrameContext.from_block(x)
-    dim = frame.local_dim
+    rl, n_k, _, rr = x.cores[k].shape
+    dim = rl * n_k * rr
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
     (lm, l0), (rm, r0) = state.envs.left[k], state.envs.right[k]
-    pm = frame_project(frame, delta_m, envs=(lm, rm))
-    p0 = frame_project(frame, delta_0, envs=(l0, r0))
+    pm = frame_project(x.cores, k, delta_m, envs=(lm, rm))
+    p0 = frame_project(x.cores, k, delta_0, envs=(l0, r0))
     t_proj = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -408,9 +409,6 @@ def sweep_step(
     t_eig = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rl = x.cores[k].shape[0]
-    n_k = x.cores[k].shape[1]
-    rr = x.cores[k].shape[3]
     candidates = []
     for i in indices:
         vec = geig.vector(i)
@@ -475,6 +473,8 @@ def solve(
     report dict).
     """
     config = config or SolverConfig()
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     work = apply_shift(prob, -target) if target != 0.0 else prob
     # the smaller rounded operator, Delta_0, is the one held while the other is built
     delta_0 = build_delta0(work, round_tol=config.delta_round_tol)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 DENSE_CAP = 10_000_000
 SV_FLOOR = 1e-14
@@ -120,34 +121,6 @@ class BlockTT(_Chain):
     @property
     def block_size(self) -> int:
         return self.cores[self.block_index].shape[2]
-
-
-@dataclass
-class FrameContext:
-    """All cores of a train except the one at ``index``.
-
-    Represents the frame matrix X^{<k} (x) I_{n_k} (x) (X^{>k})^T implicitly;
-    its action and projections are evaluated core by core through environment
-    contractions, never by materializing the frame.
-    """
-
-    cores: list[np.ndarray]
-    index: int
-
-    @property
-    def order(self) -> int:
-        return len(self.cores)
-
-    @property
-    def local_dim(self) -> int:
-        rl = 1 if self.index == 0 else self.cores[self.index - 1].shape[-1]
-        rr = 1 if self.index == self.order - 1 else self.cores[self.index + 1].shape[0]
-        n = self.cores[self.index].shape[1]
-        return rl * n * rr
-
-    @classmethod
-    def from_block(cls, x: BlockTT) -> "FrameContext":
-        return cls(x.cores, x.block_index)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +253,6 @@ def _positive_qr(mat: np.ndarray, overwrite_a: bool = False):
     Fortran-contiguous ``mat`` is factored in its own buffer, which Q
     (Fortran-ordered) then occupies; R is C-ordered, as numpy returns it.
     """
-    import scipy.linalg  # on use: importing it with this module moves the import-time peak
-
     q, r = scipy.linalg.qr(mat, mode="economic", overwrite_a=overwrite_a, check_finite=False)
     d = np.sign(np.real(np.diagonal(r))).astype(mat.dtype)
     d[d == 0] = 1.0
@@ -364,8 +335,6 @@ def _round_cores(cores: list, tol: float, max_rank: int | None = None) -> list:
     ``s * vh`` is C-ordered; and each rounded core is stored compact and
     C-contiguous rather than as a view into its SVD factor.
     """
-    import scipy.linalg  # on use, as in _positive_qr
-
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     mode_shapes = [g.shape[1:-1] for g in cores]
@@ -528,47 +497,48 @@ def env_apply(left, op_core, right, y: np.ndarray) -> np.ndarray:
 
 
 def frame_project(
-    frame: FrameContext, a: TTOperator, envs, dim_cap: int = 10_000
+    cores: list[np.ndarray], k: int, a: TTOperator, envs, dim_cap: int = 10_000
 ) -> np.ndarray:
     """Explicit projected matrix X_frame^H A X_frame, Fortran-ordered.
 
-    ``envs`` is the (left, right) environment pair of ``a`` at the open
-    position, one entry of a ``FrameEnvCache``'s tuples on each side. The
-    einsum writes the transpose's index order and the result is its ``.T``,
-    so LAPACK can factor the matrix in place; the values are those of the
-    C-ordered ``"xiuyjv"`` contraction, bit for bit.
+    The frame X^{<k} (x) I_{n_k} (x) (X^{>k})^T is every core of ``cores``
+    but the open one at ``k``, a plain (r_l, n_k, r_r) or a block
+    (r_l, n_k, b, r_r) core whose r_l * n_k * r_r is the local size; it is
+    never materialized. ``envs`` is the (left, right) environment pair of
+    ``a`` at ``k``, one entry of a ``FrameEnvCache``'s tuples on each side.
+    The einsum writes the transpose's index order and the result is its
+    ``.T``, so LAPACK can factor the matrix in place; the values are those
+    of the C-ordered ``"xiuyjv"`` contraction, bit for bit.
     """
-    if a.mode_sizes != _as_tuple(g.shape[1] for g in frame.cores):
+    if a.mode_sizes != _as_tuple(g.shape[1] for g in cores):
         raise ValueError("mode mismatch between frame and operator")
-    dim = frame.local_dim
+    rl, n_k, *_, rr = cores[k].shape
+    dim = rl * n_k * rr
     if dim > dim_cap:
         raise CapExceededError(f"projected dimension {dim} exceeds cap {dim_cap}")
     left, right = envs
     mat = np.einsum(
-        "xay,aijc,ucv->yjvxiu", left, a.cores[frame.index], right, optimize=True
+        "xay,aijc,ucv->yjvxiu", left, a.cores[k], right, optimize=True
     )
     return mat.reshape(dim, dim).T
 
 
-def densify_frame(frame: FrameContext) -> np.ndarray:
-    """Dense frame matrix (testing aid; guarded by the dense cap)."""
-    sizes = [g.shape[1] for g in frame.cores]
-    total = int(np.prod(sizes, dtype=np.int64))
-    if total * frame.local_dim > DENSE_CAP:
+def densify_frame(cores: list[np.ndarray], k: int) -> np.ndarray:
+    """Dense frame of every core but the one at ``k`` (testing aid; capped)."""
+    rl, n_k, *_, rr = cores[k].shape
+    total = int(np.prod([g.shape[1] for g in cores], dtype=np.int64))
+    if total * rl * n_k * rr > DENSE_CAP:
         raise CapExceededError("dense frame would exceed cap")
-    k = frame.index
     left = np.ones((1, 1))
     for p in range(k):
-        g = frame.cores[p]
+        g = cores[p]
         left = np.einsum("Ia,aib->Iib", left, g).reshape(-1, g.shape[2])
     right = np.ones((1, 1))
-    for p in range(frame.order - 1, k, -1):
-        g = frame.cores[p]
+    for p in range(len(cores) - 1, k, -1):
+        g = cores[p]
         right = np.einsum("aib,bJ->aiJ", g, right).reshape(g.shape[0], -1)
-    n_k = sizes[k]
     # rows (I, i, J), cols (x, i, u): identity stitched along the open mode
-    nl, rl = left.shape
-    rr, nr = right.shape
+    nl, nr = left.shape[0], right.shape[1]
     mat = np.zeros((nl, n_k, nr, rl, n_k, rr), dtype=np.result_type(left, right))
     for i in range(n_k):
         mat[:, i, :, :, i, :] = np.einsum("Ix,uJ->IJxu", left, right)

@@ -31,7 +31,6 @@ from ttmep.mep_problem import (
 )
 from ttmep.solver import SolverConfig, make_state, solve, sweep_step
 from ttmep.tt_core import (
-    FrameContext,
     densify,
     densify_frame,
     densify_operator,
@@ -221,16 +220,13 @@ def test_criterion_05_residual_estimate_dominance():
     for frame_seed in range(5):
         config = SolverConfig(block_size=2, seed=frame_seed)
         state = make_state(g.problem, delta_m, delta_0, config)
-        frame = FrameContext.from_block(state.x)
-        fd = densify_frame(frame)
         k = state.x.block_index
+        fd = densify_frame(state.x.cores, k)
         rl, n_k, _, rr = state.x.cores[k].shape
         rng = np.random.default_rng(1000 + frame_seed)
         for _ in range(100):
             mu = complex(rng.standard_normal(), rng.standard_normal())
-            v = rng.standard_normal(frame.local_dim) + 1j * rng.standard_normal(
-                frame.local_dim
-            )
+            v = rng.standard_normal(fd.shape[1]) + 1j * rng.standard_normal(fd.shape[1])
             v /= np.linalg.norm(v)
             est = estimate_residual(state, mu, v.reshape(rl, n_k, rr), +1)
             full = np.linalg.norm((dm - mu * d0) @ (fd @ v))
@@ -313,7 +309,7 @@ def test_criterion_08_property_suite():
             state.estimates.clear()
             for mode in modes:
                 sweep_step(state, delta_m, delta_0, work, config, direction)
-                f = densify_frame(FrameContext.from_block(state.x))
+                f = densify_frame(state.x.cores, state.x.block_index)
                 worst_gram = max(
                     worst_gram, float(np.abs(f.T @ f - np.eye(f.shape[1])).max())
                 )

@@ -343,7 +343,7 @@ def test_solve_non_finite_problem_exits_2(tmp_path, bad):
 @pytest.mark.parametrize("flag", [
     ["--sweeps", "0"], ["--kick", "-3"],
     ["--eps1", "nan"], ["--xi", "nan"], ["--xi", "inf"], ["--eps", "nan"], ["--eps", "inf"],
-    ["--round-tol", "-1"], ["--round-tol", "nan"], ["--round-tol", "inf"],
+    ["--round-tol", "-1"], ["--round-tol", "nan"], ["--round-tol", "inf"], ["--seed", "-1"],
 ])
 def test_solve_bad_config_flag_exits_2(tmp_path, small_problem, flag, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -351,6 +351,14 @@ def test_solve_bad_config_flag_exits_2(tmp_path, small_problem, flag, monkeypatc
 
     monkeypatch.setattr("ttmep.cli.solve", no_solve)
     assert main(["solve", str(small_problem), "--out", str(tmp_path / "o"), *flag]) == 2
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_solve_non_finite_target_exits_2(tmp_path, small_problem, target, capsys):
+    out = tmp_path / "o"
+    assert main(["solve", str(small_problem), "--out", str(out), "--target", target]) == 2
+    assert "target" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
 
 

@@ -32,7 +32,6 @@ from ttmep.solver import (
 )
 from ttmep.tt_core import (
     BlockTT,
-    FrameContext,
     FrameEnvCache,
     TTOperator,
     TTVector,
@@ -80,7 +79,7 @@ def test_init_iterate_frame_orthonormal_and_ranks():
     x = init_iterate((3, 3, 3), config, np.random.default_rng(1))
     assert x.block_index == 0
     assert max(x.ranks) <= config.resolved_max_rank
-    f = densify_frame(FrameContext.from_block(x))
+    f = densify_frame(x.cores, x.block_index)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 
@@ -116,8 +115,7 @@ def test_rank_one_factor_extracts_tuple_component_in_frame():
     g = generate_random_mep(3, 4, seed=4)
     config = SolverConfig(block_size=1, seed=0)
     state, t, delta_m, delta_0 = planted_state(g, 0, config)
-    frame = FrameContext.from_block(state.x)
-    fd = densify_frame(frame)
+    fd = densify_frame(state.x.cores, state.x.block_index)
     x_full = densify(
         __import__("ttmep.tt_core", fromlist=["TTVector"]).TTVector(
             [np.real(v).reshape(1, -1, 1) for v in t.vectors]
@@ -143,8 +141,7 @@ def test_estimate_residual_small_for_exact_eigenpair():
     g = generate_random_mep(3, 4, seed=5)
     config = SolverConfig(block_size=1, seed=0)
     state, t, delta_m, delta_0 = planted_state(g, 0, config)
-    frame = FrameContext.from_block(state.x)
-    fd = densify_frame(frame)
+    fd = densify_frame(state.x.cores, state.x.block_index)
     from ttmep.tt_core import TTVector
 
     x_full = densify(TTVector([np.real(v).reshape(1, -1, 1) for v in t.vectors]))
@@ -163,16 +160,13 @@ def test_estimate_residual_dominance_random_pairs():
     d0 = densify_operator(delta_0)
     config = SolverConfig(block_size=2, seed=0)
     state = make_state(g.problem, delta_m, delta_0, config)
-    frame = FrameContext.from_block(state.x)
-    fd = densify_frame(frame)
     k = state.x.block_index
+    fd = densify_frame(state.x.cores, k)
     rl = state.x.cores[k].shape[0]
     rr = state.x.cores[k].shape[3]
     for _ in range(100):
         mu = complex(rng.standard_normal(), rng.standard_normal())
-        v = rng.standard_normal(frame.local_dim) + 1j * rng.standard_normal(
-            frame.local_dim
-        )
+        v = rng.standard_normal(fd.shape[1]) + 1j * rng.standard_normal(fd.shape[1])
         v /= np.linalg.norm(v)
         est = estimate_residual(state, mu, v.reshape(rl, 4, rr), +1)
         full = np.linalg.norm((dm - mu * d0) @ (fd @ v))
@@ -225,8 +219,7 @@ def _planted_walk():
     )
     config = SolverConfig(block_size=1, seed=0)
     state, t, delta_m, delta_0 = planted_state(g_shift, 0, config)
-    frame = FrameContext.from_block(state.x)
-    fd = densify_frame(frame)
+    fd = densify_frame(state.x.cores, state.x.block_index)
     x_full = densify(TTVector([np.real(v).reshape(1, -1, 1) for v in t.vectors]))
     coeff = (fd.T @ x_full).reshape(1, 4, 1)
     return state, t, coeff, delta_0, work, config
@@ -400,7 +393,7 @@ def test_sweep_step_reports_projected_size_and_moves_block():
     rec = sweep_step(state, delta_m, delta_0, work, config, +1)
     assert rec.projected_size == expected
     assert state.x.block_index == k + 1
-    f = densify_frame(FrameContext.from_block(state.x))
+    f = densify_frame(state.x.cores, state.x.block_index)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 
@@ -436,7 +429,7 @@ def test_full_sweep_keeps_frames_orthonormal():
             assert state.x.block_index == mode
             rec = sweep_step(state, delta_m, delta_0, work, config, direction)
             assert rec.projected_size <= size_cap
-            f = densify_frame(FrameContext.from_block(state.x))
+            f = densify_frame(state.x.cores, state.x.block_index)
             assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-10
 
 
@@ -537,7 +530,7 @@ def test_config_validation():
     nan, inf = float("nan"), float("inf")
     for bad in ({"eps1": nan}, {"xi": nan}, {"xi": inf}, {"eps": nan}, {"eps": inf},
                 {"delta_round_tol": -1.0}, {"delta_round_tol": nan},
-                {"delta_round_tol": inf}):
+                {"delta_round_tol": inf}, {"seed": -1}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(delta_round_tol=None).delta_round_tol is None

@@ -11,7 +11,6 @@ from ttmep.mep_problem import generate_random_mep
 from ttmep.tt_core import (
     BlockTT,
     CapExceededError,
-    FrameContext,
     FrameEnvCache,
     TTOperator,
     TTVector,
@@ -410,13 +409,13 @@ def test_positive_qr_returns_numpy_qr_bytes_with_the_sign_fix(shape, complex_):
 def test_frame_gram_identity():
     rng = np.random.default_rng(14)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    f = densify_frame(FrameContext.from_block(x))
+    f = densify_frame(x.cores, x.block_index)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 
-def _envs(frame, a):
-    cache = FrameEnvCache((a,), frame.cores, frame.index)
-    return cache.left[frame.index][0], cache.right[frame.index][0]
+def _envs(cores, k, a):
+    cache = FrameEnvCache((a,), cores, k)
+    return cache.left[k][0], cache.right[k][0]
 
 
 def test_env_cache_refresh_equals_rebuild():
@@ -447,43 +446,44 @@ def test_env_cache_refresh_equals_rebuild():
 def test_frame_project_matches_dense():
     rng = np.random.default_rng(16)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    frame = FrameContext.from_block(x)
+    cores, k = x.cores, x.block_index
     a = random_operator(rng, (3, 3, 3), (3, 2))
-    fd = densify_frame(frame)
+    fd = densify_frame(cores, k)
     ad = densify_operator(a)
-    p = frame_project(frame, a, envs=_envs(frame, a))
+    p = frame_project(cores, k, a, envs=_envs(cores, k, a))
     assert np.allclose(p, fd.T @ ad @ fd, atol=1e-12)
 
 
 def test_frame_project_identity_and_symmetry():
     rng = np.random.default_rng(18)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    frame = FrameContext.from_block(x)
+    cores, k = x.cores, x.block_index
     eye = identity_operator((3, 3, 3))
-    p = frame_project(frame, eye, envs=_envs(frame, eye))
-    assert np.allclose(p, np.eye(frame.local_dim), atol=1e-12)
+    p = frame_project(cores, k, eye, envs=_envs(cores, k, eye))
+    rl, n_k, _, rr = cores[k].shape
+    assert np.allclose(p, np.eye(rl * n_k * rr), atol=1e-12)
     sym_cores = []
     for g in random_operator(rng, (3, 3, 3), (2, 2)).cores:
         sym_cores.append(g + g.transpose(0, 2, 1, 3))
     sym = TTOperator(sym_cores)
-    p2 = frame_project(frame, sym, envs=_envs(frame, sym))
+    p2 = frame_project(cores, k, sym, envs=_envs(cores, k, sym))
     assert np.abs(p2 - p2.T).max() <= 1e-12
 
 
 def test_frame_project_matches_columnwise_apply():
     rng = np.random.default_rng(19)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    frame = FrameContext.from_block(x)
+    cores, k = x.cores, x.block_index
     a = random_operator(rng, (3, 3, 3), (3, 3))
-    left, right = _envs(frame, a)
-    p = frame_project(frame, a, envs=(left, right))
-    shape = (left.shape[2], frame.cores[frame.index].shape[1], right.shape[2])
+    left, right = _envs(cores, k, a)
+    p = frame_project(cores, k, a, envs=(left, right))
+    shape = (left.shape[2], cores[k].shape[1], right.shape[2])
     cols = np.stack(
         [
             env_apply(
-                left, a.cores[frame.index], right, np.eye(frame.local_dim)[:, j].reshape(shape)
+                left, a.cores[k], right, np.eye(np.prod(shape))[:, j].reshape(shape)
             ).reshape(-1)
-            for j in range(frame.local_dim)
+            for j in range(np.prod(shape))
         ],
         axis=1,
     )
@@ -496,12 +496,12 @@ def test_frame_project_is_fortran_ordered_with_c_order_values(sizes, ranks):
     # Fortran-ordered; its values stay those of the C-ordered contraction
     rng = np.random.default_rng(21)
     x = orthonormal_block(rng, sizes, b=2, ranks=ranks)
-    frame = FrameContext.from_block(x)
+    cores, k = x.cores, x.block_index
     a = random_operator(rng, sizes, (3, 4))
-    left, right = _envs(frame, a)
-    p = frame_project(frame, a, envs=(left, right))
+    left, right = _envs(cores, k, a)
+    p = frame_project(cores, k, a, envs=(left, right))
     want = np.einsum(
-        "xay,aijc,ucv->xiuyjv", left, a.cores[frame.index], right, optimize=True
+        "xay,aijc,ucv->xiuyjv", left, a.cores[k], right, optimize=True
     ).reshape(p.shape)
     assert p.flags["F_CONTIGUOUS"]
     assert np.ascontiguousarray(p).tobytes() == want.tobytes()
@@ -510,10 +510,10 @@ def test_frame_project_is_fortran_ordered_with_c_order_values(sizes, ranks):
 def test_frame_project_cap():
     rng = np.random.default_rng(20)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    frame = FrameContext.from_block(x)
+    cores, k = x.cores, x.block_index
     eye = identity_operator((3, 3, 3))
     with pytest.raises(CapExceededError):
-        frame_project(frame, eye, envs=_envs(frame, eye), dim_cap=5)
+        frame_project(cores, k, eye, envs=_envs(cores, k, eye), dim_cap=5)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +548,8 @@ def test_env_kernels_match_dense_frame_projection(bra_complex, ket_complex):
         right = np.ones((1, 1, 1))
         for p in range(m - 1, k, -1):
             right = env_right_step(right, bra[p], a.cores[p], ket[p])
-        fb = densify_frame(FrameContext(bra, k))
-        fk = densify_frame(FrameContext(ket, k))
+        fb = densify_frame(bra, k)
+        fk = densify_frame(ket, k)
         ref = np.conj(fb).T @ ad @ fk
         shape = (left.shape[2], sizes[k], right.shape[2])
         cols = np.stack(
@@ -702,11 +702,11 @@ def test_shift_keeps_frame_orthonormal_both_directions():
     rng = np.random.default_rng(22)
     x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2), index=1)
     shift_block_core(x, +1, target_rank=3, enrichment=1, rng=rng)
-    f = densify_frame(FrameContext.from_block(x))
+    f = densify_frame(x.cores, x.block_index)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
     shift_block_core(x, -1, target_rank=3, enrichment=1, rng=rng)
     shift_block_core(x, -1, target_rank=3, enrichment=1, rng=rng)
-    f = densify_frame(FrameContext.from_block(x))
+    f = densify_frame(x.cores, x.block_index)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ttmep.tt_core import (
-    FrameContext,
     TTOperator,
     TTVector,
     densify,
@@ -77,7 +76,7 @@ def block_shifts(draw):
 
 
 def _frame_gram_error(x) -> float:
-    f = densify_frame(FrameContext.from_block(x))
+    f = densify_frame(x.cores, x.block_index)
     return float(np.abs(f.T @ f - np.eye(f.shape[1])).max())
 
 
