@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -192,6 +193,8 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     if args.how_many < 1:
         raise ValueError("--how-many must be positive")
+    if not math.isfinite(args.target):
+        raise ValueError(f"target must be finite, got {args.target}")
     loaded = load_problem(args.problem)
     if not isinstance(loaded, GeneratedProblem):
         raise ValueError("oracle needs a problem file with generator metadata")
@@ -305,7 +308,7 @@ def cmd_bench(args) -> int:
         by_phase = {
             (rnd, phase): sec for (val, phase, rnd, sec) in rows if val == value
         }
-        if value >= 8 and by_phase.get((True, "projection"), 0.0) > by_phase.get(
+        if m >= 8 and by_phase.get((True, "projection"), 0.0) > by_phase.get(
             (False, "projection"), 0.0
         ):
             warnings.append(

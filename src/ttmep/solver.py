@@ -112,8 +112,10 @@ class StepRecord:
 
 @dataclass
 class SweepState:
+    prob: MEProblem  # the problem as solved, shifted by the target
+    config: SolverConfig
     x: BlockTT
-    envs: FrameEnvCache  # environments of the pencil (Delta_m, Delta_0)
+    envs: FrameEnvCache  # the pencil (Delta_m, Delta_0) and its environments
     rng: np.random.Generator
     found: list[EigenTuple] = field(default_factory=list)
     # transported middle factors of the last step's selection, for the block mode
@@ -220,13 +222,7 @@ def estimate_residual(
 
 
 def check_convergence(
-    state: SweepState,
-    mu: complex,
-    coeff: np.ndarray,
-    direction: int,
-    delta_0: TTOperator,
-    prob: MEProblem,
-    config: SolverConfig,
+    state: SweepState, mu: complex, coeff: np.ndarray, direction: int
 ) -> _Candidate:
     """Walk single-pair frames over all modes and admit the tuple if sound.
 
@@ -239,6 +235,7 @@ def check_convergence(
     and inserted into the found list. Returns the pair's candidate record;
     its ``outcome`` names the test that ended the walk (``WALK_OUTCOMES``).
     """
+    prob, config, delta_0 = state.prob, state.config, state.envs.ops[1]
     cores = state.x.cores
     k = state.x.block_index
     unit = np.asarray(coeff)
@@ -376,19 +373,13 @@ def make_state(
     rng = np.random.default_rng(config.seed)
     x = init_iterate(prob.sizes, config, rng)
     envs = FrameEnvCache((delta_m, delta_0), x.cores, x.block_index)
-    return SweepState(x=x, envs=envs, rng=rng)
+    return SweepState(prob=prob, config=config, x=x, envs=envs, rng=rng)
 
 
-def sweep_step(
-    state: SweepState,
-    delta_m: TTOperator,
-    delta_0: TTOperator,
-    prob: MEProblem,
-    config: SolverConfig,
-    direction: int,
-) -> StepRecord:
+def sweep_step(state: SweepState, direction: int) -> StepRecord:
     """One mode update: project, solve, select, write block, shift."""
-    x = state.x
+    x, config = state.x, state.config
+    delta_m, delta_0 = state.envs.ops
     k = x.block_index
     b = config.block_size
     rl, n_k, _, rr = x.cores[k].shape
@@ -413,11 +404,7 @@ def sweep_step(
     for i in indices:
         vec = geig.vector(i)
         coeff = (vec / np.linalg.norm(vec)).reshape(rl, n_k, rr)
-        candidates.append(
-            check_convergence(
-                state, geig.eigenvalues[i], coeff, direction, delta_0, prob, config
-            )
-        )
+        candidates.append(check_convergence(state, geig.eigenvalues[i], coeff, direction))
     columns, selected = select_eigenpairs(
         candidates, state.estimates, b, config.cos_threshold, state.rng, dim
     )
@@ -492,9 +479,7 @@ def solve(
             state.estimates.clear()  # estimates are one step ahead only
             for mode in modes:
                 assert state.x.block_index == mode
-                records.append(
-                    sweep_step(state, delta_m, delta_0, work, config, direction)
-                )
+                records.append(sweep_step(state, direction))
         sweeps_run = sweep
         if any(r.n_converged_new for r in records[first_step:]):
             last_progress_sweep = sweep

@@ -308,7 +308,7 @@ def test_criterion_08_property_suite():
         for direction, modes in ((+1, range(2)), (-1, range(2, 0, -1))):
             state.estimates.clear()
             for mode in modes:
-                sweep_step(state, delta_m, delta_0, work, config, direction)
+                sweep_step(state, direction)
                 f = densify_frame(state.x.cores, state.x.block_index)
                 worst_gram = max(
                     worst_gram, float(np.abs(f.T @ f - np.eye(f.shape[1])).max())

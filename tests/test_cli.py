@@ -369,6 +369,30 @@ def test_oracle_non_positive_how_many_exits_2(tmp_path, small_problem, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_oracle_non_finite_target_exits_2(tmp_path, small_problem, target, capsys):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", str(small_problem), "--target", target, "--out", str(out)]) == 2
+    assert f"target must be finite, got {float(target)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, warned", [
+    (["--n-range", "8:8", "--m", "3"], False),
+    (["--m-range", "8:8", "--n", "2"], True),
+])
+def test_bench_warning_keyed_on_m(tmp_path, flag, warned, monkeypatch, capsys):
+    # a stub solve whose rounded projection is always the slower one
+    def slower_rounded(prob, target, config):
+        ms = 1.0 if config.delta_round_tol is None else 2.0
+        return [], {"steps": [{"phase_ms": {"projection": ms}}]}
+
+    monkeypatch.setattr("ttmep.cli.solve", slower_rounded)
+    assert main(["bench", *flag, "--out", str(tmp_path / "bench.csv")]) == 0
+    err = capsys.readouterr().err
+    assert ("rounding did not speed up projection formation" in err) == warned
+
+
 @pytest.mark.parametrize("flag", [
     ["--m-range", "3:2"], ["--n-range", "5:3"], ["--n-range", "3:5:0"], ["--n-range", "5:3:-1"],
 ])

@@ -12,6 +12,7 @@ from ttmep.mep_problem import (
     chebyshev_lobatto,
     duplicate_check,
     generate_random_mep,
+    index_eigenvalues,
     left_eigenvector_tuple,
     load_problem,
     oracle_eigenvalues,
@@ -185,6 +186,19 @@ def test_oracle_soundness_four_parameters():
     assert all(t.residual_norm < 1e-9 for t in tuples)
 
 
+def test_oracle_skips_exactly_the_singular_system():
+    # equal B_12 and B_22 spectra at one index make that one 2 x 2 system
+    # singular, so the batched solve fails and each system is solved alone
+    g = generate_random_mep(2, 4, seed=12)
+    g.spectrum_b[1][1][3] = g.spectrum_b[0][1][2]
+    idx = np.stack(np.unravel_index(np.arange(16), (4, 4)), axis=1)
+    lam, ok = index_eigenvalues(g, idx)
+    assert np.flatnonzero(~ok).tolist() == [2 * 4 + 3]
+    assert np.all(np.isfinite(lam[ok]))
+    tuples, skipped = oracle_eigenvalues(g, 16, target=0.0)
+    assert skipped == 1 and len(tuples) + skipped == 16
+
+
 def test_oracle_cap_refusal():
     g = generate_random_mep(3, 10, seed=10)
     with pytest.raises(CapExceededError):
@@ -266,6 +280,22 @@ def test_trqi_recovers_perturbed_oracle_tuples():
         if refined.residual_norm < 1e-10:
             successes += 1
     assert successes >= 90
+
+
+def test_trqi_flags_a_vanished_update():
+    # B_12 x_1 = 0, so the first equation's update is the zero vector
+    prob = MEProblem(
+        a=[np.array([[1.0, 2.0], [0.5, 3.0]]), np.array([[2.0, 1.0], [1.0, -1.0]])],
+        b=[[np.eye(2), np.diag([0.0, 1.0])], [np.eye(2), 2.0 * np.eye(2)]],
+    )
+    vectors = [np.array([1.0, 0.0]), np.array([0.6, 0.8])]
+    seed = EigenTuple.build(prob, np.array([0.3, 0.7]), vectors)
+    refined = trqi_refine(prob, seed)
+    assert refined.flags == ("refine-solve-failed",)
+    assert np.array_equal(refined.lam, seed.lam)
+    assert refined.residual_norm == seed.residual_norm
+    for v1, v2 in zip(refined.vectors, seed.vectors):
+        assert np.array_equal(v1, v2)
 
 
 def test_trqi_monotone_acceptance():

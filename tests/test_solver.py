@@ -10,6 +10,7 @@ from ttmep.delta_builder import apply_shift, build_delta0, build_delta_i
 from ttmep.mep_problem import (
     GeneratedProblem,
     MEProblem,
+    SingularRayleighError,
     duplicate_check,
     generate_random_mep,
     left_eigenvector_tuple,
@@ -56,6 +57,8 @@ def planted_state(g: GeneratedProblem, tuple_index: int, config: SolverConfig):
     delta_m = build_delta_i(g.problem, g.m, round_tol=None)
     delta_0 = build_delta0(g.problem, round_tol=None)
     state = SweepState(
+        prob=g.problem,
+        config=config,
         x=x,
         envs=FrameEnvCache((delta_m, delta_0), x.cores, 0),
         rng=np.random.default_rng(config.seed),
@@ -227,31 +230,46 @@ def _planted_walk():
 
 def test_check_convergence_accepts_planted_eigenpair():
     state, t, coeff, delta_0, work, config = _planted_walk()
-    walk = check_convergence(
-        state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
-    )
+    walk = check_convergence(state, complex(t.lam[-1]), coeff, +1)
     assert walk.converged and walk.admitted and walk.outcome == "admitted"
     assert len(state.found) == 1
     assert state.found[0].residual_norm < 1e-6
     assert abs(state.found[0].lam[-1] - t.lam[-1]) <= 1e-8 * max(1, abs(t.lam[-1]))
     # re-submitting the same pair is converged but rejected as duplicate
-    walk2 = check_convergence(
-        state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
-    )
+    walk2 = check_convergence(state, complex(t.lam[-1]), coeff, +1)
     assert walk2.converged and not walk2.admitted and walk2.outcome == "duplicate"
     assert len(state.found) == 1
     # with the keep list full of tuples nearer the target it is cut first
     nearer = dataclasses.replace(state.found[0], lam=np.zeros_like(t.lam))
     state.found = [nearer] * (4 * config.block_size)
-    walk3 = check_convergence(
-        state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
-    )
+    walk3 = check_convergence(state, complex(t.lam[-1]), coeff, +1)
     assert walk3.converged and walk3.outcome == "keep_cut"
+
+
+def test_check_convergence_trqi_failure_keeps_the_pair_selectable(monkeypatch):
+    # the walk passes eps1 in both cases; then either TRQI misses an eps no
+    # residual can meet, or the Rayleigh system of the estimates is singular
+    state, t, coeff, delta_0, work, config = _planted_walk()
+    state.config = dataclasses.replace(config, eps=1e-300)
+    walks = [check_convergence(state, complex(t.lam[-1]), coeff, +1)]
+    state.config = config
+
+    def singular(prob, vectors):
+        raise SingularRayleighError("singular")
+
+    monkeypatch.setattr("ttmep.solver.tensor_rayleigh_quotient", singular)
+    walks.append(check_convergence(state, complex(t.lam[-1]), coeff, +1))
+    for walk in walks:
+        assert walk.outcome == "trqi_failed" and not walk.converged
+        assert walk.est_residual < config.eps1
+        _, selected = select_eigenpairs([walk], [], 1, 0.99, state.rng, coeff.size)
+        assert selected == [walk]
+    assert state.found == []
 
 
 def test_admitted_tuple_carries_its_screen_denominator():
     state, t, coeff, delta_0, work, config = _planted_walk()
-    check_convergence(state, complex(t.lam[-1]), coeff, +1, delta_0, work, config)
+    check_convergence(state, complex(t.lam[-1]), coeff, +1)
     found = state.found[0]
     assert found.delta0_den == screen_denominator(found, delta_0)
     bare = dataclasses.replace(found, delta0_den=None)
@@ -273,7 +291,7 @@ def test_check_convergence_aborts_on_large_projected_residual():
     rr = state.x.cores[k].shape[3]
     rng = np.random.default_rng(10)
     coeff = rng.standard_normal((rl, 4, rr))
-    walk = check_convergence(state, 0.123, coeff, +1, delta_0, g.problem, config)
+    walk = check_convergence(state, 0.123, coeff, +1)
     assert not walk.converged and not walk.admitted and walk.outcome == "aborted"
     assert walk.est_residual >= config.eps1
     assert state.found == []
@@ -390,7 +408,7 @@ def test_sweep_step_reports_projected_size_and_moves_block():
         * state.x.cores[k].shape[1]
         * state.x.cores[k].shape[3]
     )
-    rec = sweep_step(state, delta_m, delta_0, work, config, +1)
+    rec = sweep_step(state, +1)
     assert rec.projected_size == expected
     assert state.x.block_index == k + 1
     f = densify_frame(state.x.cores, state.x.block_index)
@@ -410,7 +428,7 @@ def test_sweep_step_finds_planted_eigenpair_in_one_step():
     )
     config = SolverConfig(block_size=1, seed=0)
     state, t, delta_m, delta_0 = planted_state(g_shift, 0, config)
-    rec = sweep_step(state, delta_m, delta_0, work, config, +1)
+    rec = sweep_step(state, +1)
     assert rec.n_converged_new >= 1
     assert any(abs(f.lam[-1] - t.lam[-1]) <= 1e-7 for f in state.found)
 
@@ -427,7 +445,7 @@ def test_full_sweep_keeps_frames_orthonormal():
         state.estimates.clear()
         for mode in modes:
             assert state.x.block_index == mode
-            rec = sweep_step(state, delta_m, delta_0, work, config, direction)
+            rec = sweep_step(state, direction)
             assert rec.projected_size <= size_cap
             f = densify_frame(state.x.cores, state.x.block_index)
             assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-10
@@ -631,7 +649,5 @@ def test_walk_kernels_plan_no_einsum_path(monkeypatch):
 def test_admitting_walk_plans_no_einsum_path(monkeypatch):
     state, t, coeff, delta_0, work, config = _planted_walk()
     _refuse_einsum_path(monkeypatch)
-    walk = check_convergence(
-        state, complex(t.lam[-1]), coeff, +1, delta_0, work, config
-    )
+    walk = check_convergence(state, complex(t.lam[-1]), coeff, +1)
     assert walk.admitted
