@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .delta_builder import DELTA_ROUND_TOL, shift_generated
-from .dense_kernels import SingularPencilError
+from .delta_builder import DELTA_ROUND_TOL, apply_shift
+from .dense_kernels import RITZ_RULES, SingularPencilError
 from .mep_problem import (
     GeneratedProblem,
     SingularRayleighError,
@@ -96,11 +96,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cos-threshold", type=float, default=None)
     p.add_argument("--round-tol", type=float, default=None, help="operator rounding tolerance")
     p.add_argument("--no-round", action="store_true", help="skip operator rounding")
-    p.add_argument(
-        "--ritz-rule",
-        choices=("positive-real-part", "positive-imag-part"),
-        default=None,
-    )
+    p.add_argument("--ritz-rule", choices=RITZ_RULES, default=None)
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -286,9 +282,7 @@ def cmd_bench(args) -> int:
     for label, value, m, n in params:
         g = generate_random_mep(m, n, args.seed)
         # shift so the searched lambda_m sit at positive values (exterior target)
-        shifted = shift_generated(
-            g, -_sampled_lambda_m_min(g, seed=args.seed) + 1.0
-        ).problem
+        shifted = apply_shift(g.problem, -_sampled_lambda_m_min(g, seed=args.seed) + 1.0)
         for rounded in (False, True):
             config = SolverConfig(
                 sweeps=args.sweeps,

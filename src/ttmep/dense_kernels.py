@@ -140,7 +140,7 @@ def generalized_eig(
 def select_ritz(
     result: GeneralizedEigenResult,
     count: int,
-    rule: str = "positive-real-part",
+    rule: str = RITZ_RULES[0],
 ) -> tuple[list[int], bool]:
     """Indices of ``count`` finite eigenvalues, smallest modulus first.
 
@@ -157,7 +157,7 @@ def select_ritz(
     def sort_key(i):
         return (abs(lam[i]), lam[i].real, lam[i].imag)
 
-    part = np.real if rule == "positive-real-part" else np.imag
+    part = np.real if rule == RITZ_RULES[0] else np.imag
     eligible = sorted((i for i in finite if part(lam[i]) > 0), key=sort_key)
     chosen = eligible[:count]
     padded = False

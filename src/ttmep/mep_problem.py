@@ -11,7 +11,7 @@ computation, and the duplicate test used to reject re-found eigenvalues.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -212,27 +212,25 @@ def index_eigenvalues(g: GeneratedProblem, idx: np.ndarray):
     rows = np.arange(g.m)
     mats = b_spec[rows[np.newaxis, :, np.newaxis], rows[np.newaxis, np.newaxis, :], idx[:, :, np.newaxis]]
     rhs = a_spec[rows[np.newaxis, :], idx]
+    lam = _solve_halving(mats, rhs)
+    return lam, np.all(np.isfinite(lam), axis=1)
+
+
+def _solve_halving(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve of mats[t] @ lam[t] = rhs[t]; a batch that fails is
+    solved again as two halves, and a single failing system gives NaNs."""
     try:
-        lam = np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
-        return lam, np.all(np.isfinite(lam), axis=1)
+        return np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
     except np.linalg.LinAlgError:
-        lam = np.full(rhs.shape, np.nan)
-        ok = np.zeros(len(idx), dtype=bool)
-        for t in range(len(idx)):
-            try:
-                lam[t] = np.linalg.solve(mats[t], rhs[t])
-                ok[t] = bool(np.all(np.isfinite(lam[t])))
-            except np.linalg.LinAlgError:
-                pass
-        return lam, ok
+        if len(mats) == 1:
+            return np.full(rhs.shape, np.nan)
+        h = len(mats) // 2
+        return np.concatenate(
+            [_solve_halving(mats[:h], rhs[:h]), _solve_halving(mats[h:], rhs[h:])]
+        )
 
 
-def oracle_eigenvalues(
-    g: GeneratedProblem,
-    how_many: int,
-    target: complex = 0.0,
-    cap: int = ORACLE_CAP,
-):
+def oracle_eigenvalues(g: GeneratedProblem, how_many: int, target: complex = 0.0):
     """Exact tuples closest to the target in lambda_m, by full enumeration.
 
     Every multi-index is solved by ``index_eigenvalues``, in batches of
@@ -241,8 +239,8 @@ def oracle_eigenvalues(
     """
     m, n = g.m, g.n
     total = n**m
-    if total > cap:
-        raise CapExceededError(f"{total} systems exceed the cap of {cap}")
+    if total > ORACLE_CAP:
+        raise CapExceededError(f"{total} systems exceed the cap of {ORACLE_CAP}")
     if how_many <= 0:
         return [], 0
     skipped = 0
@@ -330,10 +328,7 @@ def trqi_refine(
                     raise np.linalg.LinAlgError("update vanished or is not finite")
                 new_vectors.append(upd / nv)
         except (SingularRayleighError, np.linalg.LinAlgError):
-            return EigenTuple(
-                best.lam, best.vectors, best.residual_norm, best.left_vectors,
-                best.flags + ("refine-solve-failed",),
-            )
+            return replace(best, flags=best.flags + ("refine-solve-failed",))
         vectors = new_vectors
         cand = EigenTuple.build(prob, lam, vectors, flags=best.flags)
         if cand.residual_norm < best.residual_norm:

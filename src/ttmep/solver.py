@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dense_kernels import generalized_eig, principal_cosine, select_ritz
+from .dense_kernels import RITZ_RULES, generalized_eig, principal_cosine, select_ritz
 from .delta_builder import DELTA_ROUND_TOL, apply_shift, build_delta0, build_delta_i
 from .mep_problem import (
     EigenTuple,
@@ -68,7 +68,7 @@ class SolverConfig:
     cos_threshold: float = 0.99
     delta_round_tol: float | None = DELTA_ROUND_TOL  # None skips operator rounding
     seed: int = 0
-    ritz_rule: str = "positive-real-part"
+    ritz_rule: str = RITZ_RULES[0]
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -88,6 +88,8 @@ class SolverConfig:
             raise ValueError("rounding tolerance must be non-negative and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.ritz_rule not in RITZ_RULES:
+            raise ValueError(f"unknown Ritz rule {self.ritz_rule!r}")
 
     @property
     def resolved_max_rank(self) -> int:
@@ -470,7 +472,6 @@ def solve(
     m = work.m
     records: list[StepRecord] = []
     last_progress_sweep = 0
-    sweeps_run = 0
     stop_reason = "sweep_cap"
     for sweep in range(1, config.sweeps + 1):
         state.sweep = sweep
@@ -480,7 +481,6 @@ def solve(
             for mode in modes:
                 assert state.x.block_index == mode
                 records.append(sweep_step(state, direction))
-        sweeps_run = sweep
         if any(r.n_converged_new for r in records[first_step:]):
             last_progress_sweep = sweep
         if sweep - last_progress_sweep >= NO_PROGRESS_SWEEPS:
@@ -493,7 +493,7 @@ def solve(
     report = {
         "target": target,
         "config": _config_dict(config),
-        "sweeps_run": sweeps_run,
+        "sweeps_run": state.sweep,
         "stop_reason": stop_reason,
         "delta_ranks": {"delta_m": list(delta_m.ranks), "delta_0": list(delta_0.ranks)},
         "steps": [{**asdict(r), "ranks": list(r.ranks)} for r in records],

@@ -26,6 +26,8 @@ import numpy as np
 import scipy.linalg
 
 DENSE_CAP = 10_000_000
+# largest local size r_l * n_k * r_r that frame_project assembles
+PROJECTED_DIM_CAP = 10_000
 SV_FLOOR = 1e-14
 
 
@@ -142,7 +144,7 @@ def evaluate_operator(a: TTOperator, row_index, col_index) -> float:
     return acc[0, 0]
 
 
-def densify(v: TTVector, cap: int = DENSE_CAP) -> np.ndarray:
+def densify(v: TTVector) -> np.ndarray:
     """Dense vector of length prod(mode_sizes), C-order linearization.
 
     Entry at linear index ravel_multi_index((i_1,...,i_m)) is the chain
@@ -150,8 +152,8 @@ def densify(v: TTVector, cap: int = DENSE_CAP) -> np.ndarray:
     is the Kronecker chain kron(x_1, ..., x_m).
     """
     total = int(np.prod(v.mode_sizes, dtype=np.int64))
-    if total > cap:
-        raise CapExceededError(f"dense size {total} exceeds cap {cap}")
+    if total > DENSE_CAP:
+        raise CapExceededError(f"dense size {total} exceeds cap {DENSE_CAP}")
     acc = v.cores[0].reshape(v.mode_sizes[0], -1)
     for k in range(1, v.order):
         g = v.cores[k]
@@ -496,9 +498,7 @@ def env_apply(left, op_core, right, y: np.ndarray) -> np.ndarray:
     return t.dot(right.transpose(2, 1, 0).reshape(v * c, u)).reshape(x, i, u)
 
 
-def frame_project(
-    cores: list[np.ndarray], k: int, a: TTOperator, envs, dim_cap: int = 10_000
-) -> np.ndarray:
+def frame_project(cores: list[np.ndarray], k: int, a: TTOperator, envs) -> np.ndarray:
     """Explicit projected matrix X_frame^H A X_frame, Fortran-ordered.
 
     The frame X^{<k} (x) I_{n_k} (x) (X^{>k})^T is every core of ``cores``
@@ -514,8 +514,8 @@ def frame_project(
         raise ValueError("mode mismatch between frame and operator")
     rl, n_k, *_, rr = cores[k].shape
     dim = rl * n_k * rr
-    if dim > dim_cap:
-        raise CapExceededError(f"projected dimension {dim} exceeds cap {dim_cap}")
+    if dim > PROJECTED_DIM_CAP:
+        raise CapExceededError(f"projected dimension {dim} exceeds cap {PROJECTED_DIM_CAP}")
     left, right = envs
     mat = np.einsum(
         "xay,aijc,ucv->yjvxiu", left, a.cores[k], right, optimize=True
@@ -653,6 +653,8 @@ def tt_from_json(doc: dict) -> TTVector | TTOperator:
         raise ValueError(f"unknown kind {kind!r}")
     sizes = _as_tuple(doc["mode_sizes"])
     ranks = _as_tuple(doc["ranks"])
+    if not int(doc["order"]) == len(sizes) == len(ranks) - 1 == len(doc["cores"]):
+        raise ValueError("order, mode sizes, ranks and cores do not agree")
     shapes = _core_shapes(kind, sizes, ranks)
     cores = [
         np.asarray(flat, dtype=np.float64).reshape(shape)

@@ -188,7 +188,7 @@ def test_oracle_soundness_four_parameters():
 
 def test_oracle_skips_exactly_the_singular_system():
     # equal B_12 and B_22 spectra at one index make that one 2 x 2 system
-    # singular, so the batched solve fails and each system is solved alone
+    # singular, so the batched solve fails and is halved down to that system
     g = generate_random_mep(2, 4, seed=12)
     g.spectrum_b[1][1][3] = g.spectrum_b[0][1][2]
     idx = np.stack(np.unravel_index(np.arange(16), (4, 4)), axis=1)
@@ -199,10 +199,36 @@ def test_oracle_skips_exactly_the_singular_system():
     assert skipped == 1 and len(tuples) + skipped == 16
 
 
+def test_oracle_halves_a_failing_batch(monkeypatch):
+    # equal B_12 and B_22 spectra at (i_1, i_2) make exactly that 2 x 2
+    # system singular: flat positions 0, 703 and 1599 of a 1600-system batch
+    g = generate_random_mep(2, 40, seed=12)
+    singular = [0, 703, 1599]
+    for t in singular:
+        i1, i2 = divmod(t, 40)
+        g.spectrum_b[1][1][i2] = g.spectrum_b[0][1][i1]
+    idx = np.stack(np.unravel_index(np.arange(1600), (40, 40)), axis=1)
+    ref = [
+        np.linalg.solve(
+            [[g.spectrum_b[i][j][idx[t, i]] for j in range(2)] for i in range(2)],
+            [g.spectrum_a[i][idx[t, i]] for i in range(2)],
+        )
+        for t in range(1600)
+        if t not in singular
+    ]
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+    lam, ok = index_eigenvalues(g, idx)
+    assert np.flatnonzero(~ok).tolist() == singular
+    assert lam[ok].tobytes() == np.stack(ref).tobytes()
+    assert len(calls) <= 2 * 3 * 11 + 1  # 2 * singular * ceil(log2(1600)) + 1
+
+
 def test_oracle_cap_refusal():
-    g = generate_random_mep(3, 10, seed=10)
+    g = generate_random_mep(5, 30, seed=10)  # 30^5 systems
     with pytest.raises(CapExceededError):
-        oracle_eigenvalues(g, 5, cap=100)
+        oracle_eigenvalues(g, 5)
 
 
 def test_oracle_sorted_by_target_distance():

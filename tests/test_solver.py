@@ -548,7 +548,7 @@ def test_config_validation():
     nan, inf = float("nan"), float("inf")
     for bad in ({"eps1": nan}, {"xi": nan}, {"xi": inf}, {"eps": nan}, {"eps": inf},
                 {"delta_round_tol": -1.0}, {"delta_round_tol": nan},
-                {"delta_round_tol": inf}, {"seed": -1}):
+                {"delta_round_tol": inf}, {"seed": -1}, {"ritz_rule": "bogus"}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(delta_round_tol=None).delta_round_tol is None

@@ -110,9 +110,9 @@ def test_densify_round_trip_through_rounding():
 
 
 def test_densify_cap_refusal():
-    v = rank_one([np.ones(10)] * 4)
+    v = rank_one([np.ones(10)] * 8)  # 10^8 entries
     with pytest.raises(CapExceededError):
-        densify(v, cap=100)
+        densify(v)
 
 
 def test_operator_entry_matches_dense():
@@ -509,11 +509,11 @@ def test_frame_project_is_fortran_ordered_with_c_order_values(sizes, ranks):
 
 def test_frame_project_cap():
     rng = np.random.default_rng(20)
-    x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
+    x = orthonormal_block(rng, (30, 30, 30), b=2, ranks=(30, 30))  # local size 27000
     cores, k = x.cores, x.block_index
-    eye = identity_operator((3, 3, 3))
+    eye = identity_operator((30, 30, 30))
     with pytest.raises(CapExceededError):
-        frame_project(cores, k, eye, envs=_envs(cores, k, eye), dim_cap=5)
+        frame_project(cores, k, eye, envs=_envs(cores, k, eye))
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +780,21 @@ def test_json_rejects_complex_cores_and_unknown_kinds():
         tt_to_json(v)
     with pytest.raises(ValueError):
         tt_from_json({**tt_to_json(random_tt(rng, (2, 3), (1, 2, 1))), "kind": "tt-block"})
+
+
+def test_json_rejects_inconsistent_documents():
+    rng = np.random.default_rng(28)
+    doc = tt_to_json(random_tt(rng, (2, 2, 2), (1, 1, 1, 1)))
+    bad = [
+        {**doc, "cores": doc["cores"][:2]},  # a 3-mode vector with two cores
+        {**doc, "cores": doc["cores"] + [doc["cores"][0]]},  # an extra core
+        {**doc, "order": 7},
+        {**doc, "ranks": [1, 1]},  # short ranks list
+    ]
+    for d in bad:
+        with pytest.raises(ValueError):
+            tt_from_json(d)
+    assert tt_from_json(doc).mode_sizes == (2, 2, 2)
 
 
 def test_invalid_shapes_rejected():
