@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -54,7 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="output problem JSON path")
 
-    p_solve = sub.add_parser("solve", help="run the sweep solver on a problem file")
+    # a config flag that is not given stays out of the namespace, so the
+    # SolverConfig default applies
+    p_solve = sub.add_parser("solve", help="run the sweep solver on a problem file",
+                             argument_default=argparse.SUPPRESS)
     p_solve.add_argument("problem", help="problem JSON path")
     p_solve.add_argument("--target", type=float, default=0.0)
     p_solve.add_argument("--out", required=True, help="output base path (or .json)")
@@ -86,50 +89,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b", type=int, default=None, help="block size")
-    p.add_argument("--sweeps", type=int, default=None)
-    p.add_argument("--kick", type=int, default=None, help="random enrichment columns")
-    p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None, help="residual tolerance")
-    p.add_argument("--eps1", type=float, default=None, help="projected-residual walk tolerance")
-    p.add_argument("--xi", type=float, default=None, help="duplicate-rejection threshold")
-    p.add_argument("--cos-threshold", type=float, default=None)
-    p.add_argument("--round-tol", type=float, default=None, help="operator rounding tolerance")
-    p.add_argument("--no-round", action="store_true", help="skip operator rounding")
-    p.add_argument("--ritz-rule", choices=RITZ_RULES, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    """One flag per ``SolverConfig`` field, parsed under the field's name."""
+    p.add_argument("--b", dest="block_size", metavar="B", type=int, help="block size")
+    p.add_argument("--sweeps", type=int)
+    p.add_argument("--kick", type=int, help="random enrichment columns")
+    p.add_argument("--max-rank", type=int)
+    p.add_argument("--eps", type=float, help="residual tolerance")
+    p.add_argument("--eps1", type=float, help="projected-residual walk tolerance")
+    p.add_argument("--xi", type=float, help="duplicate-rejection threshold")
+    p.add_argument("--cos-threshold", type=float)
+    rounding = p.add_mutually_exclusive_group()
+    rounding.add_argument("--round-tol", dest="delta_round_tol", metavar="ROUND_TOL",
+                          type=float, help="operator rounding tolerance")
+    rounding.add_argument("--no-round", dest="delta_round_tol", action="store_const",
+                          const=None, help="skip operator rounding")
+    p.add_argument("--ritz-rule", choices=RITZ_RULES)
+    p.add_argument("--seed", type=int)
 
 
 # multi-indices sampled by ``bench`` to place its exterior shift
 SHIFT_SAMPLES = 20_000
 
-# solve flag (argparse dest) -> SolverConfig field; --round-tol and
-# --no-round together set delta_round_tol
-CONFIG_FLAGS = {
-    "b": "block_size",
-    "sweeps": "sweeps",
-    "kick": "kick",
-    "max_rank": "max_rank",
-    "eps": "eps",
-    "eps1": "eps1",
-    "xi": "xi",
-    "cos_threshold": "cos_threshold",
-    "ritz_rule": "ritz_rule",
-    "seed": "seed",
-}
 
-
-def _config_from_args(args):
-    kw = {}
-    for arg_name, field_name in CONFIG_FLAGS.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            kw[field_name] = value
-    if getattr(args, "no_round", False):
-        kw["delta_round_tol"] = None
-    elif getattr(args, "round_tol", None) is not None:
-        kw["delta_round_tol"] = args.round_tol
-    return SolverConfig(**kw)
+def _config_from_args(args) -> SolverConfig:
+    names = {f.name for f in dataclasses.fields(SolverConfig)}
+    return SolverConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _out_base(path: str) -> Path:
@@ -187,10 +171,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.how_many < 1:
-        raise ValueError("--how-many must be positive")
-    if not math.isfinite(args.target):
-        raise ValueError(f"target must be finite, got {args.target}")
     loaded = load_problem(args.problem)
     if not isinstance(loaded, GeneratedProblem):
         raise ValueError("oracle needs a problem file with generator metadata")
@@ -217,8 +197,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.wanted < 0 or not args.tol >= 0:
-        raise ValueError("--wanted and --tol must be non-negative")
+    if args.wanted < 0 or not 0 <= args.tol < np.inf:
+        raise ValueError("--wanted must be non-negative and --tol non-negative and finite")
     report = json.loads(Path(args.report).read_text())
     found = [complex(lam[-1][0], lam[-1][1]) for lam in
              (t["lambda"] for t in report["tuples"])]
@@ -283,6 +263,7 @@ def cmd_bench(args) -> int:
         g = generate_random_mep(m, n, args.seed)
         # shift so the searched lambda_m sit at positive values (exterior target)
         shifted = apply_shift(g.problem, -_sampled_lambda_m_min(g, seed=args.seed) + 1.0)
+        projection = {}
         for rounded in (False, True):
             config = SolverConfig(
                 sweeps=args.sweeps,
@@ -299,12 +280,8 @@ def cmd_bench(args) -> int:
             for phase, seconds in phase_sums.items():
                 rows.append((value, phase, rounded, seconds))
             rows.append((value, "total", rounded, total))
-        by_phase = {
-            (rnd, phase): sec for (val, phase, rnd, sec) in rows if val == value
-        }
-        if m >= 8 and by_phase.get((True, "projection"), 0.0) > by_phase.get(
-            (False, "projection"), 0.0
-        ):
+            projection[rounded] = phase_sums.get("projection", 0.0)
+        if m >= 8 and projection[True] > projection[False]:
             warnings.append(
                 f"{label}={value}: rounding did not speed up projection formation"
             )

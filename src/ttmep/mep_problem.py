@@ -36,12 +36,14 @@ class MEProblem:
 
     def __post_init__(self):
         m = len(self.a)
+        if m == 0:
+            raise ValueError("a problem needs at least one equation")
         if len(self.b) != m or any(len(row) != m for row in self.b):
             raise ValueError("B must be an m x m grid of matrices")
         for i in range(m):
+            if self.a[i].ndim != 2 or self.a[i].shape[0] != self.a[i].shape[1]:
+                raise ValueError(f"A_{i + 1} is not a square matrix")
             n = self.a[i].shape[0]
-            if self.a[i].shape != (n, n):
-                raise ValueError(f"A_{i + 1} is not square")
             if not np.all(np.isfinite(self.a[i])):
                 raise ValueError(f"A_{i + 1} has non-finite entries")
             for j in range(m):
@@ -235,14 +237,17 @@ def oracle_eigenvalues(g: GeneratedProblem, how_many: int, target: complex = 0.0
 
     Every multi-index is solved by ``index_eigenvalues``, in batches of
     ``ORACLE_CHUNK``; the eigenvectors are the matching columns of
-    Z_i^{-1}. Returns (tuples, skipped_singular_count).
+    Z_i^{-1}. Returns (tuples, skipped_singular_count). Raises
+    ``ValueError`` for a count below 1 or a non-finite target.
     """
     m, n = g.m, g.n
     total = n**m
+    if how_many < 1:
+        raise ValueError(f"how_many must be positive, got {how_many}")
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     if total > ORACLE_CAP:
         raise CapExceededError(f"{total} systems exceed the cap of {ORACLE_CAP}")
-    if how_many <= 0:
-        return [], 0
     skipped = 0
     kept: list[tuple[float, int, np.ndarray]] = []
     for start in range(0, total, ORACLE_CHUNK):
@@ -436,6 +441,10 @@ def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:
     gen = doc.get("generator")
     if gen is None:
         return prob
+    spectrum_a = [np.asarray(s, dtype=float) for s in gen["a"]]
+    spectrum_b = [[np.asarray(s, dtype=float) for s in row] for row in gen["b"]]
+    if len(spectrum_a) != m or [len(row) for row in spectrum_b] != [m] * m:
+        raise ValueError("generator needs m spectra a and an m x m grid of spectra b")
     # the seed pins the factors; the stored spectra are authoritative (they
     # may have been shifted since generation)
     regen = generate_random_mep(m, sizes[0], int(gen["seed"]))
@@ -443,8 +452,8 @@ def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:
         problem=prob,
         u_factors=regen.u_factors,
         z_factors=regen.z_factors,
-        spectrum_a=[np.asarray(s, dtype=float) for s in gen["a"]],
-        spectrum_b=[[np.asarray(s, dtype=float) for s in row] for row in gen["b"]],
+        spectrum_a=spectrum_a,
+        spectrum_b=spectrum_b,
         seed=int(gen["seed"]),
     )
     if g.reconstruction_error() > 1e-11:

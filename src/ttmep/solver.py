@@ -38,6 +38,7 @@ from .tt_core import (
     FrameEnvCache,
     TTOperator,
     env_apply,
+    feasible_ranks,
     frame_project,
     shift_block_core,
     svd_split,
@@ -353,11 +354,8 @@ def init_iterate(sizes, config: SolverConfig, rng: np.random.Generator) -> Block
     m = len(sizes)
     b = config.block_size
     r = config.resolved_max_rank
-    ranks = [1] * (m + 1)
-    for k in range(1, m):
-        prefix = b * int(np.prod(sizes[:k], dtype=np.int64))
-        suffix = int(np.prod(sizes[k:], dtype=np.int64))
-        ranks[k] = max(1, min(r, prefix, suffix))
+    # the block index rides on mode 0, so it widens that mode's unfoldings
+    ranks = feasible_ranks((b * sizes[0], *sizes[1:]), [r] * (m - 1))
     cores: list[np.ndarray] = [rng.standard_normal((1, sizes[0], b, ranks[1]))]
     for k in range(1, m):
         gauss = rng.standard_normal((sizes[k] * ranks[k + 1], ranks[k]))
@@ -459,11 +457,13 @@ def solve(
     ``4 * block_size`` tuples nearest the target are kept. The report's
     ``stop_reason`` says which of the two ended the loop: ``"sweep_cap"``
     or ``"no_progress"``. Returns (tuples sorted by |lambda_m - target|,
-    report dict).
+    report dict). Raises ``ValueError`` for a problem with m < 2.
     """
     config = config or SolverConfig()
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
+    if prob.m < 2:
+        raise ValueError(f"the sweep solver needs m >= 2 parameters, got {prob.m}")
     work = apply_shift(prob, -target) if target != 0.0 else prob
     # the smaller rounded operator, Delta_0, is the one held while the other is built
     delta_0 = build_delta0(work, round_tol=config.delta_round_tol)

@@ -7,8 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from ttmep.cli import CONFIG_FLAGS, _build_parser, main
-from ttmep.mep_problem import generate_random_mep, oracle_eigenvalues, save_problem
+from ttmep.cli import _build_parser, main
+from ttmep.mep_problem import (
+    generate_random_mep,
+    oracle_eigenvalues,
+    problem_to_json,
+    save_problem,
+)
 from ttmep.delta_builder import shift_generated
 from ttmep.solver import SolverConfig
 
@@ -134,12 +139,26 @@ def test_solve_records_config_overrides(tmp_path, small_problem):
 
 
 def test_every_config_field_has_a_solve_flag():
-    # --round-tol/--no-round set delta_round_tol; every other field has
-    # exactly one flag, so a field no caller can set fails here
-    fields = [f.name for f in dataclasses.fields(SolverConfig)]
-    assert sorted(list(CONFIG_FLAGS.values()) + ["delta_round_tol"]) == sorted(fields)
-    args = _build_parser().parse_args(["solve", "p.json", "--out", "o"])
-    assert set(CONFIG_FLAGS) | {"round_tol", "no_round"} <= set(vars(args))
+    # every config flag given: the namespace holds every SolverConfig field,
+    # so a field no caller can set fails here
+    flags = ["--b", "3", "--sweeps", "2", "--kick", "0", "--max-rank", "4",
+             "--eps", "1e-5", "--eps1", "1e-7", "--xi", "1e-3", "--cos-threshold", "0.9",
+             "--round-tol", "1e-3", "--ritz-rule", "positive-imag-part", "--seed", "1"]
+    args = _build_parser().parse_args(["solve", "p.json", "--out", "o", *flags])
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields <= set(vars(args))
+
+
+def test_round_tol_and_no_round_exclude_each_other(tmp_path, small_problem, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran with conflicting rounding flags")
+
+    monkeypatch.setattr("ttmep.cli.solve", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(small_problem), "--out", str(tmp_path / "o"),
+              "--round-tol", "1e-3", "--no-round"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_oracle_deterministic_and_counts(tmp_path, small_problem):
@@ -410,3 +429,43 @@ def test_compare_negative_wanted_or_tol_exits_2(tmp_path):
     assert main(["compare", str(report), str(oracle)]) == 0
     assert main(["compare", str(report), str(oracle), "--wanted", "-1"]) == 2
     assert main(["compare", str(report), str(oracle), "--tol", "-1"]) == 2
+    assert main(["compare", str(report), str(oracle), "--tol", "inf"]) == 2
+    assert main(["compare", str(report), str(oracle), "--tol", "nan"]) == 2
+
+
+def _malformed_problem_documents() -> dict:
+    base = problem_to_json(generate_random_mep(2, 3, seed=0))
+
+    def copy(generator=True):
+        doc = json.loads(json.dumps(base))
+        if not generator:
+            del doc["generator"]
+        return doc
+
+    number, flat, short_a, short_b_row = copy(False), copy(False), copy(), copy()
+    number["A"][0] = 1.0
+    flat["A"][0] = [1.0, 2.0, 3.0]
+    short_a["generator"]["a"].pop()
+    short_b_row["generator"]["b"][1].pop()
+    return {
+        "empty": {"m": 0, "sizes": [], "A": [], "B": []},
+        "one-parameter": {"m": 1, "sizes": [3], "A": base["A"][:1], "B": [base["B"][0][:1]]},
+        "A_1-number": number,
+        "A_1-flat": flat,
+        "generator-short-a": short_a,
+        "generator-short-b-row": short_b_row,
+    }
+
+
+MALFORMED_PROBLEMS = _malformed_problem_documents()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_PROBLEMS))
+def test_malformed_problem_file_exits_2(tmp_path, name, command, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_PROBLEMS[name]))
+    out = tmp_path / ("o" if command == "solve" else "o.csv")
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]

@@ -231,6 +231,14 @@ def test_oracle_cap_refusal():
         oracle_eigenvalues(g, 5)
 
 
+def test_oracle_rejects_a_count_below_one_or_a_non_finite_target():
+    g = generate_random_mep(2, 4, seed=11)
+    with pytest.raises(ValueError, match="how_many"):
+        oracle_eigenvalues(g, 0)
+    with pytest.raises(ValueError, match="target must be finite"):
+        oracle_eigenvalues(g, 3, target=float("nan"))
+
+
 def test_oracle_sorted_by_target_distance():
     g = generate_random_mep(2, 6, seed=11)
     tuples, _ = oracle_eigenvalues(g, 36, target=1.5)
@@ -546,6 +554,15 @@ def test_problem_json_detects_tampering(tmp_path):
     doc["A"][0][0][0] += 1.0
     with pytest.raises(ValueError):
         problem_from_json(doc)
+
+
+def test_problem_rejects_an_empty_problem_and_non_matrices():
+    g = generate_random_mep(2, 3, seed=28)
+    with pytest.raises(ValueError, match="at least one equation"):
+        MEProblem(a=[], b=[])
+    for bad in (np.float64(1.0), np.ones(3), np.ones((3, 3, 3))):
+        with pytest.raises(ValueError, match="A_1 is not a square matrix"):
+            MEProblem(a=[bad, g.problem.a[1]], b=g.problem.b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -534,6 +534,18 @@ def test_solve_empty_result_is_legal():
     assert report["stop_reason"] == "sweep_cap"
 
 
+def test_solve_rejects_a_one_parameter_problem(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr("ttmep.solver.build_delta0", no_build)
+    monkeypatch.setattr("ttmep.solver.build_delta_i", no_build)
+    g = generate_random_mep(2, 3, seed=0)
+    one = MEProblem(a=g.problem.a[:1], b=[g.problem.b[0][:1]])
+    with pytest.raises(ValueError, match="m >= 2"):
+        solve(one, target=0.0, config=SolverConfig(sweeps=1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(block_size=0)
