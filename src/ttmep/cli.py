@@ -200,8 +200,10 @@ def cmd_compare(args) -> int:
     if args.wanted < 0 or not 0 <= args.tol < np.inf:
         raise ValueError("--wanted must be non-negative and --tol non-negative and finite")
     report = json.loads(Path(args.report).read_text())
-    found = [complex(lam[-1][0], lam[-1][1]) for lam in
-             (t["lambda"] for t in report["tuples"])]
+    try:
+        found = [complex(t["lambda"][-1][0], t["lambda"][-1][1]) for t in report["tuples"]]
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed report: {exc}") from exc
     oracle_rows = []
     with open(args.oracle, newline="") as fh:
         for row in csv.DictReader(fh):

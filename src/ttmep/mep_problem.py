@@ -431,30 +431,36 @@ def problem_to_json(prob: MEProblem | GeneratedProblem) -> dict:
 
 
 def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:
-    m = int(doc["m"])
-    sizes = [int(s) for s in doc["sizes"]]
-    a = [np.asarray(mat, dtype=float) for mat in doc["A"]]
-    b = [[np.asarray(mat, dtype=float) for mat in row] for row in doc["B"]]
+    """The problem a document holds; ``ValueError`` for a malformed one."""
+    try:
+        m = int(doc["m"])
+        sizes = [int(s) for s in doc["sizes"]]
+        a = [np.asarray(mat, dtype=float) for mat in doc["A"]]
+        b = [[np.asarray(mat, dtype=float) for mat in row] for row in doc["B"]]
+        gen = doc.get("generator")
+        if gen is not None:
+            spectrum_a = [np.asarray(s, dtype=float) for s in gen["a"]]
+            spectrum_b = [[np.asarray(s, dtype=float) for s in row] for row in gen["b"]]
+            seed = int(gen["seed"])
+    except TypeError as exc:  # a list, number or null where the format has another type
+        raise ValueError(f"malformed problem document: {exc}") from exc
     prob = MEProblem(a=a, b=b)
     if prob.m != m or list(prob.sizes) != sizes:
         raise ValueError("header does not match the stored matrices")
-    gen = doc.get("generator")
     if gen is None:
         return prob
-    spectrum_a = [np.asarray(s, dtype=float) for s in gen["a"]]
-    spectrum_b = [[np.asarray(s, dtype=float) for s in row] for row in gen["b"]]
     if len(spectrum_a) != m or [len(row) for row in spectrum_b] != [m] * m:
         raise ValueError("generator needs m spectra a and an m x m grid of spectra b")
     # the seed pins the factors; the stored spectra are authoritative (they
     # may have been shifted since generation)
-    regen = generate_random_mep(m, sizes[0], int(gen["seed"]))
+    regen = generate_random_mep(m, sizes[0], seed)
     g = GeneratedProblem(
         problem=prob,
         u_factors=regen.u_factors,
         z_factors=regen.z_factors,
         spectrum_a=spectrum_a,
         spectrum_b=spectrum_b,
-        seed=int(gen["seed"]),
+        seed=seed,
     )
     if g.reconstruction_error() > 1e-11:
         raise ValueError("generator metadata does not reproduce the stored matrices")

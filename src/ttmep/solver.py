@@ -34,7 +34,6 @@ from .mep_problem import (
     trqi_refine,
 )
 from .tt_core import (
-    BlockTT,
     FrameEnvCache,
     TTOperator,
     env_apply,
@@ -117,7 +116,8 @@ class StepRecord:
 class SweepState:
     prob: MEProblem  # the problem as solved, shifted by the target
     config: SolverConfig
-    x: BlockTT
+    cores: list[np.ndarray]  # the block iterate: its 4D block core sits at k
+    k: int
     envs: FrameEnvCache  # the pencil (Delta_m, Delta_0) and its environments
     rng: np.random.Generator
     found: list[EigenTuple] = field(default_factory=list)
@@ -217,9 +217,7 @@ def estimate_residual(
     nv = np.linalg.norm(coeff)
     if nv == 0:
         raise ValueError("degenerate candidate vector")
-    for _mode, _v, res in _walk(
-        state.x.cores, state.envs, state.x.block_index, coeff / nv, direction, mu
-    ):
+    for _mode, _v, res in _walk(state.cores, state.envs, state.k, coeff / nv, direction, mu):
         return res
     raise IndexError("walked past the boundary")
 
@@ -239,8 +237,7 @@ def check_convergence(
     its ``outcome`` names the test that ended the walk (``WALK_OUTCOMES``).
     """
     prob, config, delta_0 = state.prob, state.config, state.envs.ops[1]
-    cores = state.x.cores
-    k = state.x.block_index
+    cores, k = state.cores, state.k
     unit = np.asarray(coeff)
     unit = unit / np.linalg.norm(unit)
     middle = rank_one_factor(unit)
@@ -348,8 +345,8 @@ def select_eigenpairs(
 # sweep driver
 
 
-def init_iterate(sizes, config: SolverConfig, rng: np.random.Generator) -> BlockTT:
-    """Random block train with orthonormal frame at mode 0."""
+def init_iterate(sizes, config: SolverConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """Cores of a random block iterate, block at mode 0, frame orthonormal."""
     sizes = tuple(int(n) for n in sizes)
     m = len(sizes)
     b = config.block_size
@@ -361,7 +358,7 @@ def init_iterate(sizes, config: SolverConfig, rng: np.random.Generator) -> Block
         gauss = rng.standard_normal((sizes[k] * ranks[k + 1], ranks[k]))
         q, _ = np.linalg.qr(gauss)
         cores.append(q.T.reshape(ranks[k], sizes[k], ranks[k + 1]))
-    return BlockTT(cores, 0)
+    return cores
 
 
 def make_state(
@@ -371,25 +368,24 @@ def make_state(
     config: SolverConfig,
 ) -> SweepState:
     rng = np.random.default_rng(config.seed)
-    x = init_iterate(prob.sizes, config, rng)
-    envs = FrameEnvCache((delta_m, delta_0), x.cores, x.block_index)
-    return SweepState(prob=prob, config=config, x=x, envs=envs, rng=rng)
+    cores = init_iterate(prob.sizes, config, rng)
+    envs = FrameEnvCache((delta_m, delta_0), cores, 0)
+    return SweepState(prob=prob, config=config, cores=cores, k=0, envs=envs, rng=rng)
 
 
 def sweep_step(state: SweepState, direction: int) -> StepRecord:
     """One mode update: project, solve, select, write block, shift."""
-    x, config = state.x, state.config
+    cores, k, config = state.cores, state.k, state.config
     delta_m, delta_0 = state.envs.ops
-    k = x.block_index
     b = config.block_size
-    rl, n_k, _, rr = x.cores[k].shape
+    rl, n_k, _, rr = cores[k].shape
     dim = rl * n_k * rr
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
     (lm, l0), (rm, r0) = state.envs.left[k], state.envs.right[k]
-    pm = frame_project(x.cores, k, delta_m, envs=(lm, rm))
-    p0 = frame_project(x.cores, k, delta_0, envs=(l0, r0))
+    pm = frame_project(cores, k, delta_m, envs=(lm, rm))
+    p0 = frame_project(cores, k, delta_0, envs=(l0, r0))
     t_proj = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -411,13 +407,11 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
     t_sel = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    x.cores[k] = np.ascontiguousarray(
-        columns.reshape(rl, n_k, rr, b).transpose(0, 1, 3, 2)
+    cores[k] = np.ascontiguousarray(columns.reshape(rl, n_k, rr, b).transpose(0, 1, 3, 2))
+    state.k = shift_block_core(
+        cores, k, direction, config.resolved_max_rank, enrichment=config.kick, rng=state.rng
     )
-    shift_block_core(
-        x, direction, config.resolved_max_rank, enrichment=config.kick, rng=state.rng
-    )
-    state.envs.refresh_after_shift(x.cores, k, x.block_index)
+    state.envs.refresh_after_shift(cores, k, state.k)
     state.estimates = [
         c.transported_middle for c in selected if c.transported_middle is not None
     ]
@@ -438,7 +432,7 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
             "select_converge": 1e3 * t_sel,
             "mode_update": 1e3 * t_upd,
         },
-        ranks=x.ranks,
+        ranks=(1, *(g.shape[-1] for g in cores)),
         padded=padded,
         outcomes={o: sum(c.outcome == o for c in candidates) for o in WALK_OUTCOMES},
     )
@@ -479,7 +473,7 @@ def solve(
         for direction, modes in ((+1, range(m - 1)), (-1, range(m - 1, 0, -1))):
             state.estimates.clear()  # estimates are one step ahead only
             for mode in modes:
-                assert state.x.block_index == mode
+                assert state.k == mode
                 records.append(sweep_step(state, direction))
         if any(r.n_converged_new for r in records[first_step:]):
             last_progress_sweep = sweep

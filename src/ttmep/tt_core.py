@@ -11,11 +11,15 @@ with mode vectors x_1, ..., x_m densifies to kron(x_1, kron(x_2, ...)).
 Operators on the same product space carry fourth-order cores
 (r_{k-1}, n_k, n_k, r_k) indexed by a (row, column) pair per mode.
 
-The module also provides block trains (b columns sharing all cores except
-one), frame matrices assembled from the non-block cores, the environment
-contractions needed to project operators onto a frame without ever
-materializing it, SVD-based rounding, and the block-core shift that moves
-the distinguished core one mode over while keeping the frame orthonormal.
+A frame, and the solver's block iterate with it, is a plain core list and
+the index k of its open core. In the block iterate b columns share every
+core but the one at k, of shape (r_{k-1}, n_k, b, r_k); column i_b threads
+the slice ``core[:, i_k, i_b, :]`` into the chain, and the cores left
+(right) of k are left- (right-) orthonormal. The module provides frame
+matrices assembled from the other cores, the environment contractions
+needed to project operators onto a frame without ever materializing it,
+SVD-based rounding, and the block-core shift that moves the open core one
+mode over while keeping the frame orthonormal.
 """
 
 from __future__ import annotations
@@ -49,16 +53,14 @@ class _Chain:
 
     cores: list[np.ndarray]
 
-    def _core_ndim(self, k: int) -> int:
-        return 3
+    CORE_NDIM = 3
 
     def __post_init__(self):
         if not self.cores:
             raise ValueError("empty core list")
         for k, g in enumerate(self.cores):
-            want = self._core_ndim(k)
-            if g.ndim != want:
-                raise ValueError(f"core {k} must be {want}D, got shape {g.shape}")
+            if g.ndim != self.CORE_NDIM:
+                raise ValueError(f"core {k} must be {self.CORE_NDIM}D, got shape {g.shape}")
         if self.cores[0].shape[0] != 1 or self.cores[-1].shape[-1] != 1:
             raise ValueError("boundary ranks must both be 1")
         for k in range(len(self.cores) - 1):
@@ -90,39 +92,13 @@ class TTVector(_Chain):
 class TTOperator(_Chain):
     """Operator on a mode product space, stored as a chain of 4D cores."""
 
-    def _core_ndim(self, k: int) -> int:
-        return 4
+    CORE_NDIM = 4
 
     def __post_init__(self):
         super().__post_init__()
         for k, g in enumerate(self.cores):
             if g.shape[1] != g.shape[2]:
                 raise ValueError(f"core {k} must act on square modes")
-
-
-@dataclass(repr=False)
-class BlockTT(_Chain):
-    """b column vectors sharing all cores except the 4D core at block_index.
-
-    The block core has shape (r_{k-1}, n_k, b, r_k); column i_b evaluated at a
-    multi-index threads the slice ``core[:, i_k, i_b, :]`` into the chain.
-    Cores left of the block are kept left-orthonormal and cores right of it
-    right-orthonormal whenever the structure serves as a frame.
-    """
-
-    block_index: int
-
-    def _core_ndim(self, k: int) -> int:
-        return 4 if k == self.block_index else 3
-
-    def __post_init__(self):
-        if not 0 <= self.block_index < len(self.cores):
-            raise ValueError("block index out of range")
-        super().__post_init__()
-
-    @property
-    def block_size(self) -> int:
-        return self.cores[self.block_index].shape[2]
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +239,22 @@ def _positive_qr(mat: np.ndarray, overwrite_a: bool = False):
     return q, r
 
 
-def absorb_transfer_right(t, k: int, transfer: np.ndarray) -> None:
-    """Multiply transfer into core k+1 from the left (3D or 4D block core)."""
-    g = t.cores[k + 1]
+def absorb_transfer_right(cores: list, k: int, transfer: np.ndarray) -> None:
+    """Multiply transfer into ``cores[k+1]`` from the left (3D or 4D block core)."""
+    g = cores[k + 1]
     if g.ndim == 3:
-        t.cores[k + 1] = np.einsum("xa,aib->xib", transfer, g)
+        cores[k + 1] = np.einsum("xa,aib->xib", transfer, g)
     else:
-        t.cores[k + 1] = np.einsum("xa,aibc->xibc", transfer, g)
+        cores[k + 1] = np.einsum("xa,aibc->xibc", transfer, g)
 
 
-def absorb_transfer_left(t, k: int, transfer: np.ndarray) -> None:
-    """Multiply transfer into core k-1 from the right."""
-    g = t.cores[k - 1]
+def absorb_transfer_left(cores: list, k: int, transfer: np.ndarray) -> None:
+    """Multiply transfer into ``cores[k-1]`` from the right."""
+    g = cores[k - 1]
     if g.ndim == 3:
-        t.cores[k - 1] = np.einsum("aib,bx->aix", g, transfer)
+        cores[k - 1] = np.einsum("aib,bx->aix", g, transfer)
     else:
-        t.cores[k - 1] = np.einsum("aibc,cx->aibx", g, transfer)
+        cores[k - 1] = np.einsum("aibc,cx->aibx", g, transfer)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +291,7 @@ def svd_split(mat: np.ndarray, direction: int, max_rank: int | None = None):
     return vh[:rho], u[:, :rho] * s[np.newaxis, :rho]
 
 
-def _round_cores(cores: list, tol: float, max_rank: int | None = None) -> list:
+def _round_cores(cores: list, tol: float) -> list:
     """TT-SVD rounding of a core list that the routine may consume.
 
     Cores have shape (r_{k-1}, *modes, r_k); the modes of each core are
@@ -344,14 +320,13 @@ def _round_cores(cores: list, tol: float, max_rank: int | None = None) -> list:
         cores[k] = np.ascontiguousarray(g.reshape(g.shape[0], -1, g.shape[-1]))
     m = len(cores)
     cores[m - 1] = cores[m - 1].copy()  # the one input core phase 1 would overwrite
-    out = TTVector(cores)
     if m > 1:
         for k in range(m - 1, 0, -1):
             r0, n, r1 = cores[k].shape
             q, r = _positive_qr(cores[k].reshape(r0, n * r1).T, overwrite_a=True)
             cores[k] = np.ascontiguousarray(q).T.reshape(q.shape[1], n, r1)
             del q  # the factored core's buffer goes before core k-1 is replaced
-            absorb_transfer_left(out, k, r.T)
+            absorb_transfer_left(cores, k, r.T)
         norm = float(np.linalg.norm(cores[0]))
         budget = tol * norm / np.sqrt(m - 1)
         for k in range(m - 1):
@@ -362,21 +337,17 @@ def _round_cores(cores: list, tol: float, max_rank: int | None = None) -> list:
                 mat, full_matrices=False, overwrite_a=True, check_finite=False
             )
             del mat  # destroyed by gesdd
-            r = _truncation_rank(s, budget, max_rank)
+            r = _truncation_rank(s, budget)
             cores[k] = np.ascontiguousarray(u[:, :r]).reshape(r0, n, r)
             del u  # the full factor goes before the next core is formed
-            absorb_transfer_right(out, k, s[:r, np.newaxis] * np.ascontiguousarray(vh[:r]))
+            absorb_transfer_right(cores, k, s[:r, np.newaxis] * np.ascontiguousarray(vh[:r]))
         cores[m - 1] = np.ascontiguousarray(cores[m - 1])
     return [
         g.reshape(g.shape[0], *shape, g.shape[-1]) for g, shape in zip(cores, mode_shapes)
     ]
 
 
-def tt_round(
-    v: TTVector,
-    tol: float,
-    max_rank: int | None = None,
-) -> TTVector:
+def tt_round(v: TTVector, tol: float) -> TTVector:
     """SVD rounding to a relative Frobenius tolerance.
 
     The budget is split as tol/sqrt(m-1) per truncation, which bounds the
@@ -384,7 +355,7 @@ def tt_round(
     the relative floor are dropped, recovering the minimal exact ranks.
     The input is never written to: the result is a new train.
     """
-    return TTVector(_round_cores(list(v.cores), tol, max_rank))
+    return TTVector(_round_cores(list(v.cores), tol))
 
 
 def tt_round_operator(a: TTOperator, tol: float) -> TTOperator:
@@ -562,13 +533,14 @@ def _orthonormal_extension(basis: np.ndarray, count: int, rng: np.random.Generat
 
 
 def shift_block_core(
-    x: BlockTT,
+    cores: list[np.ndarray],
+    k: int,
     direction: int,
     target_rank: int,
     enrichment: int = 0,
     rng: np.random.Generator | None = None,
-) -> BlockTT:
-    """Move the block core one mode over, truncating by SVD.
+) -> int:
+    """Move the block core at ``k`` one mode over, truncating by SVD.
 
     The block core is unfolded with the walked-over mode attached to its
     bond, SVD-truncated to min(target_rank, numerical rank), and the column
@@ -576,17 +548,17 @@ def shift_block_core(
     ``enrichment`` random orthonormal columns are appended to the retained
     singular vectors with zero coefficient rows, so the represented columns
     are unchanged while the frame gains room; the new frame stays orthonormal
-    by construction.
+    by construction. ``cores`` is updated in place; returns the new block
+    index, ``k + direction``.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    k = x.block_index
-    m = x.order
+    m = len(cores)
     if (direction == +1 and k == m - 1) or (direction == -1 and k == 0):
         raise ValueError("cannot shift the block core past the boundary")
     if enrichment and rng is None:
         raise ValueError("enrichment requires a random generator")
-    g = x.cores[k]
+    g = cores[k]
     r0, n, b, r1 = g.shape
     if direction == +1:
         u, coef = svd_split(g.reshape(r0 * n, b * r1), +1, target_rank)
@@ -597,11 +569,10 @@ def shift_block_core(
                 [coef, np.zeros((extra.shape[1], b * r1))], axis=0
             )
         rho_t = u.shape[1]
-        x.cores[k] = u.reshape(r0, n, rho_t)
+        cores[k] = u.reshape(r0, n, rho_t)
         coef = coef.reshape(rho_t, b, r1)
-        nxt = x.cores[k + 1]  # (r1, n', r2)
-        x.cores[k + 1] = np.einsum("sbc,cjt->sjbt", coef, nxt, optimize=True)
-        x.block_index = k + 1
+        nxt = cores[k + 1]  # (r1, n', r2)
+        cores[k + 1] = np.einsum("sbc,cjt->sjbt", coef, nxt, optimize=True)
     else:
         mat = g.transpose(0, 2, 1, 3).reshape(r0 * b, n * r1)
         core, coef = svd_split(mat, -1, target_rank)  # core has orthonormal rows
@@ -612,12 +583,11 @@ def shift_block_core(
                 [coef, np.zeros((r0 * b, extra.shape[1]))], axis=1
             )
         rho_t = core.shape[0]
-        x.cores[k] = core.reshape(rho_t, n, r1)
+        cores[k] = core.reshape(rho_t, n, r1)
         coef = coef.reshape(r0, b, rho_t)
-        prv = x.cores[k - 1]  # (r2, n', r0)
-        x.cores[k - 1] = np.einsum("cja,abs->cjbs", prv, coef, optimize=True)
-        x.block_index = k - 1
-    return x
+        prv = cores[k - 1]  # (r2, n', r0)
+        cores[k - 1] = np.einsum("cja,abs->cjbs", prv, coef, optimize=True)
+    return k + direction
 
 
 # ---------------------------------------------------------------------------

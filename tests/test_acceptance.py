@@ -220,9 +220,9 @@ def test_criterion_05_residual_estimate_dominance():
     for frame_seed in range(5):
         config = SolverConfig(block_size=2, seed=frame_seed)
         state = make_state(g.problem, delta_m, delta_0, config)
-        k = state.x.block_index
-        fd = densify_frame(state.x.cores, k)
-        rl, n_k, _, rr = state.x.cores[k].shape
+        k = state.k
+        fd = densify_frame(state.cores, k)
+        rl, n_k, _, rr = state.cores[k].shape
         rng = np.random.default_rng(1000 + frame_seed)
         for _ in range(100):
             mu = complex(rng.standard_normal(), rng.standard_normal())
@@ -309,7 +309,7 @@ def test_criterion_08_property_suite():
             state.estimates.clear()
             for mode in modes:
                 sweep_step(state, direction)
-                f = densify_frame(state.x.cores, state.x.block_index)
+                f = densify_frame(state.cores, state.k)
                 worst_gram = max(
                     worst_gram, float(np.abs(f.T @ f - np.eye(f.shape[1])).max())
                 )

@@ -431,6 +431,9 @@ def test_compare_negative_wanted_or_tol_exits_2(tmp_path):
     assert main(["compare", str(report), str(oracle), "--tol", "-1"]) == 2
     assert main(["compare", str(report), str(oracle), "--tol", "inf"]) == 2
     assert main(["compare", str(report), str(oracle), "--tol", "nan"]) == 2
+    for doc in ([{"lambda": [[0.0, 0.0], [1.0, 0.0]]}], {"tuples": [{"lambda": 1.0}]}):
+        report.write_text(json.dumps(doc))
+        assert main(["compare", str(report), str(oracle)]) == 2
 
 
 def _malformed_problem_documents() -> dict:
@@ -447,7 +450,15 @@ def _malformed_problem_documents() -> dict:
     flat["A"][0] = [1.0, 2.0, 3.0]
     short_a["generator"]["a"].pop()
     short_b_row["generator"]["b"][1].pop()
+    null_seed = copy()
+    null_seed["generator"]["seed"] = None
     return {
+        "list": [base],
+        "m-null": {**copy(), "m": None},
+        "sizes-number": {**copy(), "sizes": 3},
+        "B-flat": {**copy(False), "B": [1.0, 2.0]},
+        "generator-number": {**copy(), "generator": 5},
+        "generator-seed-null": null_seed,
         "empty": {"m": 0, "sizes": [], "A": [], "B": []},
         "one-parameter": {"m": 1, "sizes": [3], "A": base["A"][:1], "B": [base["B"][0][:1]]},
         "A_1-number": number,

@@ -32,7 +32,6 @@ from ttmep.solver import (
     sweep_step,
 )
 from ttmep.tt_core import (
-    BlockTT,
     FrameEnvCache,
     TTOperator,
     TTVector,
@@ -53,14 +52,14 @@ def planted_state(g: GeneratedProblem, tuple_index: int, config: SolverConfig):
     xs = [np.real(v) / np.linalg.norm(np.real(v)) for v in t.vectors]
     cores = [xs[0].reshape(1, -1, 1, 1)]
     cores += [x.reshape(1, -1, 1) for x in xs[1:]]
-    x = BlockTT(cores, 0)
     delta_m = build_delta_i(g.problem, g.m, round_tol=None)
     delta_0 = build_delta0(g.problem, round_tol=None)
     state = SweepState(
         prob=g.problem,
         config=config,
-        x=x,
-        envs=FrameEnvCache((delta_m, delta_0), x.cores, 0),
+        cores=cores,
+        k=0,
+        envs=FrameEnvCache((delta_m, delta_0), cores, 0),
         rng=np.random.default_rng(config.seed),
     )
     return state, t, delta_m, delta_0
@@ -79,10 +78,10 @@ def shifted_positive(g: GeneratedProblem):
 
 def test_init_iterate_frame_orthonormal_and_ranks():
     config = SolverConfig(block_size=2, seed=1)
-    x = init_iterate((3, 3, 3), config, np.random.default_rng(1))
-    assert x.block_index == 0
-    assert max(x.ranks) <= config.resolved_max_rank
-    f = densify_frame(x.cores, x.block_index)
+    cores = init_iterate((3, 3, 3), config, np.random.default_rng(1))
+    assert cores[0].ndim == 4 and all(g.ndim == 3 for g in cores[1:])
+    assert max(g.shape[-1] for g in cores) <= config.resolved_max_rank
+    f = densify_frame(cores, 0)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 
@@ -90,7 +89,7 @@ def test_init_iterate_seeded_determinism():
     config = SolverConfig(block_size=3, seed=9)
     x1 = init_iterate((4, 4), config, np.random.default_rng(9))
     x2 = init_iterate((4, 4), config, np.random.default_rng(9))
-    for g1, g2 in zip(x1.cores, x2.cores):
+    for g1, g2 in zip(x1, x2):
         assert np.array_equal(g1, g2)
 
 
@@ -118,7 +117,7 @@ def test_rank_one_factor_extracts_tuple_component_in_frame():
     g = generate_random_mep(3, 4, seed=4)
     config = SolverConfig(block_size=1, seed=0)
     state, t, delta_m, delta_0 = planted_state(g, 0, config)
-    fd = densify_frame(state.x.cores, state.x.block_index)
+    fd = densify_frame(state.cores, state.k)
     x_full = densify(
         __import__("ttmep.tt_core", fromlist=["TTVector"]).TTVector(
             [np.real(v).reshape(1, -1, 1) for v in t.vectors]
@@ -144,7 +143,7 @@ def test_estimate_residual_small_for_exact_eigenpair():
     g = generate_random_mep(3, 4, seed=5)
     config = SolverConfig(block_size=1, seed=0)
     state, t, delta_m, delta_0 = planted_state(g, 0, config)
-    fd = densify_frame(state.x.cores, state.x.block_index)
+    fd = densify_frame(state.cores, state.k)
     from ttmep.tt_core import TTVector
 
     x_full = densify(TTVector([np.real(v).reshape(1, -1, 1) for v in t.vectors]))
@@ -163,10 +162,10 @@ def test_estimate_residual_dominance_random_pairs():
     d0 = densify_operator(delta_0)
     config = SolverConfig(block_size=2, seed=0)
     state = make_state(g.problem, delta_m, delta_0, config)
-    k = state.x.block_index
-    fd = densify_frame(state.x.cores, k)
-    rl = state.x.cores[k].shape[0]
-    rr = state.x.cores[k].shape[3]
+    k = state.k
+    fd = densify_frame(state.cores, k)
+    rl = state.cores[k].shape[0]
+    rr = state.cores[k].shape[3]
     for _ in range(100):
         mu = complex(rng.standard_normal(), rng.standard_normal())
         v = rng.standard_normal(fd.shape[1]) + 1j * rng.standard_normal(fd.shape[1])
@@ -182,11 +181,11 @@ def test_estimate_residual_rejects_zero_vector():
     delta_0 = build_delta0(g.problem, round_tol=None)
     config = SolverConfig(block_size=1, seed=0)
     state = make_state(g.problem, delta_m, delta_0, config)
-    k = state.x.block_index
+    k = state.k
     shape = (
-        state.x.cores[k].shape[0],
-        state.x.cores[k].shape[1],
-        state.x.cores[k].shape[3],
+        state.cores[k].shape[0],
+        state.cores[k].shape[1],
+        state.cores[k].shape[3],
     )
     with pytest.raises(ValueError):
         estimate_residual(state, 1.0, np.zeros(shape), +1)
@@ -197,8 +196,8 @@ def test_estimate_residual_rejects_a_hop_past_the_boundary():
     delta_m = build_delta_i(g.problem, 2, round_tol=None)
     delta_0 = build_delta0(g.problem, round_tol=None)
     state = make_state(g.problem, delta_m, delta_0, SolverConfig(block_size=1, seed=0))
-    core = state.x.cores[state.x.block_index]
-    assert state.x.block_index == 0
+    core = state.cores[state.k]
+    assert state.k == 0
     coeff = np.ones((core.shape[0], core.shape[1], core.shape[3]))
     with pytest.raises(IndexError):
         estimate_residual(state, 1.0, coeff, -1)
@@ -222,7 +221,7 @@ def _planted_walk():
     )
     config = SolverConfig(block_size=1, seed=0)
     state, t, delta_m, delta_0 = planted_state(g_shift, 0, config)
-    fd = densify_frame(state.x.cores, state.x.block_index)
+    fd = densify_frame(state.cores, state.k)
     x_full = densify(TTVector([np.real(v).reshape(1, -1, 1) for v in t.vectors]))
     coeff = (fd.T @ x_full).reshape(1, 4, 1)
     return state, t, coeff, delta_0, work, config
@@ -286,9 +285,9 @@ def test_check_convergence_aborts_on_large_projected_residual():
     delta_0 = build_delta0(g.problem, round_tol=None)
     config = SolverConfig(block_size=2, seed=0)
     state = make_state(g.problem, delta_m, delta_0, config)
-    k = state.x.block_index
-    rl = state.x.cores[k].shape[0]
-    rr = state.x.cores[k].shape[3]
+    k = state.k
+    rl = state.cores[k].shape[0]
+    rr = state.cores[k].shape[3]
     rng = np.random.default_rng(10)
     coeff = rng.standard_normal((rl, 4, rr))
     walk = check_convergence(state, 0.123, coeff, +1)
@@ -296,7 +295,7 @@ def test_check_convergence_aborts_on_large_projected_residual():
     assert walk.est_residual >= config.eps1
     assert state.found == []
     # the first hop's unit rank-one factor is kept for the next step's selection
-    n_next = state.x.cores[k + 1].shape[1]
+    n_next = state.cores[k + 1].shape[1]
     assert walk.transported_middle.shape == (n_next,)
     assert np.linalg.norm(walk.transported_middle) == pytest.approx(1.0)
 
@@ -402,16 +401,16 @@ def test_sweep_step_reports_projected_size_and_moves_block():
     delta_0 = build_delta0(work, round_tol=None)
     config = SolverConfig(block_size=2, seed=3)
     state = make_state(work, delta_m, delta_0, config)
-    k = state.x.block_index
+    k = state.k
     expected = (
-        state.x.cores[k].shape[0]
-        * state.x.cores[k].shape[1]
-        * state.x.cores[k].shape[3]
+        state.cores[k].shape[0]
+        * state.cores[k].shape[1]
+        * state.cores[k].shape[3]
     )
     rec = sweep_step(state, +1)
     assert rec.projected_size == expected
-    assert state.x.block_index == k + 1
-    f = densify_frame(state.x.cores, state.x.block_index)
+    assert state.k == k + 1
+    f = densify_frame(state.cores, state.k)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 
@@ -444,10 +443,10 @@ def test_full_sweep_keeps_frames_orthonormal():
     for direction, modes in ((+1, range(2)), (-1, range(2, 0, -1))):
         state.estimates.clear()
         for mode in modes:
-            assert state.x.block_index == mode
+            assert state.k == mode
             rec = sweep_step(state, direction)
             assert rec.projected_size <= size_cap
-            f = densify_frame(state.x.cores, state.x.block_index)
+            f = densify_frame(state.cores, state.k)
             assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-10
 
 

@@ -9,7 +9,6 @@ import pytest
 from ttmep.delta_builder import build_delta0
 from ttmep.mep_problem import generate_random_mep
 from ttmep.tt_core import (
-    BlockTT,
     CapExceededError,
     FrameEnvCache,
     TTOperator,
@@ -175,10 +174,10 @@ def test_matvec_mode_mismatch():
 def test_orthonormalize_identity_transfer_on_orthonormal_core():
     rng = np.random.default_rng(7)
     v = random_tt(rng, (4, 4, 4), (1, 3, 3, 1))
-    r = left_orthonormalize_core(v, 0)
-    absorb_transfer_right(v, 0, r)
+    r = left_orthonormalize_core(v.cores, 0)
+    absorb_transfer_right(v.cores, 0, r)
     # re-orthonormalizing gives the identity transfer under the sign fix
-    r2 = left_orthonormalize_core(v, 0)
+    r2 = left_orthonormalize_core(v.cores, 0)
     assert np.allclose(r2, np.eye(r2.shape[0]), atol=1e-13)
 
 
@@ -186,24 +185,22 @@ def test_left_right_orthonormalize_and_absorb_preserve_tensor():
     rng = np.random.default_rng(8)
     v = random_tt(rng, (3, 4, 3), (1, 3, 3, 1))
     ref = densify(v)
-    r = left_orthonormalize_core(v, 1)
-    absorb_transfer_right(v, 1, r)
+    r = left_orthonormalize_core(v.cores, 1)
+    absorb_transfer_right(v.cores, 1, r)
     assert is_left_orthonormal(v.cores[1], tol=1e-13)
-    l = right_orthonormalize_core(v, 2)
-    absorb_transfer_left(v, 2, l)
+    l = right_orthonormalize_core(v.cores, 2)
+    absorb_transfer_left(v.cores, 2, l)
     assert is_right_orthonormal(v.cores[2], tol=1e-13)
     assert np.linalg.norm(densify(v) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_orthonormalize_block_core_forbidden():
     rng = np.random.default_rng(9)
-    x = BlockTT(
-        [rng.standard_normal((1, 3, 2, 2)), rng.standard_normal((2, 3, 1))], 0
-    )
-    with pytest.raises(ValueError):
-        left_orthonormalize_core(x, 0)
+    cores = [rng.standard_normal((1, 3, 2, 2)), rng.standard_normal((2, 3, 1))]
+    with pytest.raises(ValueError, match="core must be 3D"):
+        left_orthonormalize_core(cores, 0)
     # the plain core is fine
-    right_orthonormalize_core(x, 1)
+    right_orthonormalize_core(cores, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +239,6 @@ def test_round_error_bound():
         assert all(rw <= rv for rw, rv in zip(w.ranks, v.ranks))
 
 
-def test_round_max_rank_cap():
-    rng = np.random.default_rng(12)
-    v = random_tt(rng, (4, 4, 4), (1, 4, 4, 1))
-    w = tt_round(v, 0.0, max_rank=2)
-    assert max(w.ranks) <= 2
-
-
 def test_round_operator_identity_with_doubled_ranks():
     ident = identity_operator((3, 3, 3))
     cores = []
@@ -285,7 +275,7 @@ def test_round_never_writes_to_its_input():
     # a strided core, as einsum with optimize=True returns them
     v.cores[1] = np.ascontiguousarray(v.cores[1].transpose(2, 1, 0)).transpose(2, 1, 0)
     a = random_operator(rng, (3, 2, 3), (4, 4))
-    for t, rounder in ((v, lambda t: tt_round(t, 1e-10, max_rank=2)),
+    for t, rounder in ((v, lambda t: tt_round(t, 1e-10)),
                        (a, lambda t: tt_round_operator(t, 1e-13))):
         before = [(g.tobytes(), g.strides) for g in t.cores]
         out = rounder(t)
@@ -325,7 +315,7 @@ def _numpy_positive_qr(mat):
     return q, r
 
 
-def _numpy_reference_round(cores, tol, max_rank=None):
+def _numpy_reference_round(cores, tol):
     """The TT-SVD rounding with numpy.linalg's QR and SVD, in the operand
     layouts numpy returns: C-contiguous cores in, each phase-1 core the
     transposed view of a C-ordered Q, C-ordered transfers."""
@@ -342,7 +332,7 @@ def _numpy_reference_round(cores, tol, max_rank=None):
         for k in range(m - 1):
             r0, n, r1 = cores[k].shape
             u, s, vh = np.linalg.svd(cores[k].reshape(r0 * n, r1), full_matrices=False)
-            r = _truncation_rank(s, budget, max_rank)
+            r = _truncation_rank(s, budget)
             cores[k] = u[:, :r].reshape(r0, n, r)
             cores[k + 1] = np.einsum("xa,aib->xib", s[:r, np.newaxis] * vh[:r], cores[k + 1])
     return [g.reshape(g.shape[0], *shape, g.shape[-1]) for g, shape in zip(cores, shapes)]
@@ -364,16 +354,16 @@ def test_rounding_returns_the_numpy_reference_bytes():
     cplx = TTVector([g + 1j * rng.standard_normal(g.shape) for g in cplx.cores])
     deficient = TTVector(_zero_padded(random_tt(rng, (4, 5, 4, 3), (2, 3, 2)).cores, 2))
     vectors = [
-        (random_tt(rng, (4, 3, 5, 4, 3), (4, 8, 9, 5)), 1e-10, None),
-        (strided, 1e-10, 2),
-        (cplx, 1e-8, None),
-        (random_tt(rng, (5, 4), (4,)), 0.0, None),  # m = 2
-        (deficient, 0.0, None),
-        (deficient, 1e-1, None),
+        (random_tt(rng, (4, 3, 5, 4, 3), (4, 8, 9, 5)), 1e-10),
+        (strided, 1e-10),
+        (cplx, 1e-8),
+        (random_tt(rng, (5, 4), (4,)), 0.0),  # m = 2
+        (deficient, 0.0),
+        (deficient, 1e-1),
     ]
-    for v, tol, cap in vectors:
-        want = _numpy_reference_round(list(v.cores), tol, cap)
-        assert _same_train_bits(tt_round(v, tol, max_rank=cap), want)
+    for v, tol in vectors:
+        want = _numpy_reference_round(list(v.cores), tol)
+        assert _same_train_bits(tt_round(v, tol), want)
     operators = [
         random_operator(rng, (3, 2, 3, 2), (4, 5, 3)),
         random_operator(rng, (3, 4), (5,)),  # m = 2
@@ -408,8 +398,8 @@ def test_positive_qr_returns_numpy_qr_bytes_with_the_sign_fix(shape, complex_):
 
 def test_frame_gram_identity():
     rng = np.random.default_rng(14)
-    x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    f = densify_frame(x.cores, x.block_index)
+    cores, k = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
+    f = densify_frame(cores, k)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 
@@ -424,29 +414,27 @@ def test_env_cache_refresh_equals_rebuild():
     # for byte
     rng = np.random.default_rng(15)
     sizes = (3, 2, 3, 2)
-    x = orthonormal_block(rng, sizes, b=2, ranks=(2, 3, 2), index=0)
+    cores, k = orthonormal_block(rng, sizes, b=2, ranks=(2, 3, 2), index=0)
     ops = (random_operator(rng, sizes, (2, 3, 2)), random_operator(rng, sizes, (3, 2, 2)))
-    cache = FrameEnvCache(ops, x.cores, 0)
+    cache = FrameEnvCache(ops, cores, 0)
     m = len(sizes)
     for direction in [+1] * (m - 1) + [-1] * (m - 1):
-        old = x.block_index
-        shift_block_core(x, direction, 3, enrichment=1, rng=rng)
-        cache.refresh_after_shift(x.cores, old, x.block_index)
-        k = x.block_index
-        fresh = FrameEnvCache(ops, x.cores, k)
+        old = k
+        k = shift_block_core(cores, k, direction, 3, enrichment=1, rng=rng)
+        cache.refresh_after_shift(cores, old, k)
+        fresh = FrameEnvCache(ops, cores, k)
         for got, want in ((cache.left[k], fresh.left[k]), (cache.right[k], fresh.right[k])):
             assert len(got) == len(ops)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    assert x.block_index == 0
+    assert k == 0
     with pytest.raises(ValueError, match="one mode at a time"):
-        cache.refresh_after_shift(x.cores, 0, 2)
+        cache.refresh_after_shift(cores, 0, 2)
 
 
 def test_frame_project_matches_dense():
     rng = np.random.default_rng(16)
-    x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    cores, k = x.cores, x.block_index
+    cores, k = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
     a = random_operator(rng, (3, 3, 3), (3, 2))
     fd = densify_frame(cores, k)
     ad = densify_operator(a)
@@ -456,8 +444,7 @@ def test_frame_project_matches_dense():
 
 def test_frame_project_identity_and_symmetry():
     rng = np.random.default_rng(18)
-    x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    cores, k = x.cores, x.block_index
+    cores, k = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
     eye = identity_operator((3, 3, 3))
     p = frame_project(cores, k, eye, envs=_envs(cores, k, eye))
     rl, n_k, _, rr = cores[k].shape
@@ -472,8 +459,7 @@ def test_frame_project_identity_and_symmetry():
 
 def test_frame_project_matches_columnwise_apply():
     rng = np.random.default_rng(19)
-    x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
-    cores, k = x.cores, x.block_index
+    cores, k = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2))
     a = random_operator(rng, (3, 3, 3), (3, 3))
     left, right = _envs(cores, k, a)
     p = frame_project(cores, k, a, envs=(left, right))
@@ -495,8 +481,7 @@ def test_frame_project_is_fortran_ordered_with_c_order_values(sizes, ranks):
     # LAPACK factors the pencil in the solver's buffer only if it is
     # Fortran-ordered; its values stay those of the C-ordered contraction
     rng = np.random.default_rng(21)
-    x = orthonormal_block(rng, sizes, b=2, ranks=ranks)
-    cores, k = x.cores, x.block_index
+    cores, k = orthonormal_block(rng, sizes, b=2, ranks=ranks)
     a = random_operator(rng, sizes, (3, 4))
     left, right = _envs(cores, k, a)
     p = frame_project(cores, k, a, envs=(left, right))
@@ -509,8 +494,7 @@ def test_frame_project_is_fortran_ordered_with_c_order_values(sizes, ranks):
 
 def test_frame_project_cap():
     rng = np.random.default_rng(20)
-    x = orthonormal_block(rng, (30, 30, 30), b=2, ranks=(30, 30))  # local size 27000
-    cores, k = x.cores, x.block_index
+    cores, k = orthonormal_block(rng, (30, 30, 30), b=2, ranks=(30, 30))  # local size 27000
     eye = identity_operator((30, 30, 30))
     with pytest.raises(CapExceededError):
         frame_project(cores, k, eye, envs=_envs(cores, k, eye))
@@ -690,47 +674,48 @@ def test_svd_split_numerical_rank_and_cap(direction):
 
 def test_shift_preserves_single_rank_one_column():
     rng = np.random.default_rng(21)
-    x = orthonormal_block(rng, (3, 3, 3), b=1, ranks=(1, 1), index=0)
-    before = block_columns_dense(x)
-    shift_block_core(x, +1, target_rank=3, enrichment=0)
-    assert x.block_index == 1
-    after = block_columns_dense(x)
+    cores, k = orthonormal_block(rng, (3, 3, 3), b=1, ranks=(1, 1), index=0)
+    before = block_columns_dense(cores, k)
+    k = shift_block_core(cores, k, +1, target_rank=3, enrichment=0)
+    assert k == 1
+    after = block_columns_dense(cores, k)
     assert np.abs(before - after).max() <= 1e-12
 
 
 def test_shift_keeps_frame_orthonormal_both_directions():
     rng = np.random.default_rng(22)
-    x = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2), index=1)
-    shift_block_core(x, +1, target_rank=3, enrichment=1, rng=rng)
-    f = densify_frame(x.cores, x.block_index)
+    cores, k = orthonormal_block(rng, (3, 3, 3), b=2, ranks=(2, 2), index=1)
+    k = shift_block_core(cores, k, +1, target_rank=3, enrichment=1, rng=rng)
+    f = densify_frame(cores, k)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
-    shift_block_core(x, -1, target_rank=3, enrichment=1, rng=rng)
-    shift_block_core(x, -1, target_rank=3, enrichment=1, rng=rng)
-    f = densify_frame(x.cores, x.block_index)
+    k = shift_block_core(cores, k, -1, target_rank=3, enrichment=1, rng=rng)
+    k = shift_block_core(cores, k, -1, target_rank=3, enrichment=1, rng=rng)
+    f = densify_frame(cores, k)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
 
 def test_shift_enrichment_rank_and_orthonormality():
     rng = np.random.default_rng(23)
-    x = orthonormal_block(rng, (4, 4, 4), b=2, ranks=(3, 3), index=0)
-    before = block_columns_dense(x)
-    g = x.cores[0]
+    cores, k = orthonormal_block(rng, (4, 4, 4), b=2, ranks=(3, 3), index=0)
+    before = block_columns_dense(cores, k)
+    g = cores[0]
     unfolded = g.reshape(g.shape[0] * g.shape[1], -1)
     numerical_rank = np.linalg.matrix_rank(unfolded)
-    shift_block_core(x, +1, target_rank=2, enrichment=1, rng=rng)
-    assert x.ranks[1] == min(2, numerical_rank) + 1
-    core = x.cores[0].reshape(-1, x.ranks[1])
-    assert np.abs(core.T @ core - np.eye(x.ranks[1])).max() <= 1e-12
+    k = shift_block_core(cores, k, +1, target_rank=2, enrichment=1, rng=rng)
+    rank = cores[0].shape[-1]
+    assert rank == min(2, numerical_rank) + 1
+    core = cores[0].reshape(-1, rank)
+    assert np.abs(core.T @ core - np.eye(rank)).max() <= 1e-12
     # appended zero column: the represented subspace keeps the truncated part
-    after = block_columns_dense(x)
+    after = block_columns_dense(cores, k)
     assert after.shape == before.shape
 
 
 def test_shift_boundary_violation():
     rng = np.random.default_rng(24)
-    x = orthonormal_block(rng, (3, 3), b=1, ranks=(1,), index=1)
+    cores, k = orthonormal_block(rng, (3, 3), b=1, ranks=(1,), index=1)
     with pytest.raises(ValueError):
-        shift_block_core(x, +1, target_rank=2)
+        shift_block_core(cores, k, +1, target_rank=2)
 
 
 def test_shift_column_space_preserved_for_converged_columns():
@@ -748,13 +733,13 @@ def test_shift_column_space_preserved_for_converged_columns():
         block_core[0, :, j, j] = vecs[0][:, j]
         g2[j, :, j] = vecs[1][:, j]
         g3[j, :, 0] = vecs[2][:, j]
-    x = BlockTT([block_core, g2, g3], 0)
+    cores = [block_core, g2, g3]
     for k in (2, 1):
-        l = right_orthonormalize_core(x, k)
-        absorb_transfer_left(x, k, l)
-    before = block_columns_dense(x)
-    shift_block_core(x, +1, target_rank=2, enrichment=0)
-    after = block_columns_dense(x)
+        l = right_orthonormalize_core(cores, k)
+        absorb_transfer_left(cores, k, l)
+    before = block_columns_dense(cores, 0)
+    k = shift_block_core(cores, 0, +1, target_rank=2, enrichment=0)
+    after = block_columns_dense(cores, k)
     assert np.abs(before - after).max() <= 1e-12
 
 
@@ -804,28 +789,19 @@ def test_invalid_shapes_rejected():
         TTVector([np.ones((1, 2, 2)), np.ones((3, 2, 1))])
     with pytest.raises(ValueError):
         TTOperator([np.ones((1, 2, 3, 1))])
-    v, op, blk = np.ones((1, 2, 1)), np.ones((1, 2, 2, 1)), np.ones((1, 2, 3, 1))
-    for make in (lambda: TTVector([v, v]), lambda: TTOperator([op, op]),
-                 lambda: BlockTT([blk, v], 0), lambda: BlockTT([v, blk], 1)):
+    v, op = np.ones((1, 2, 1)), np.ones((1, 2, 2, 1))
+    for make in (lambda: TTVector([v, v]), lambda: TTOperator([op, op])):
         make()  # the well-formed counterparts of the cases below
     cases = [
         ("empty core list", lambda: TTVector([])),
         ("empty core list", lambda: TTOperator([])),
-        ("block index out of range", lambda: BlockTT([], 0)),
         ("must be 3D", lambda: TTVector([v, op])),
         ("must be 4D", lambda: TTOperator([op, v])),
-        ("must be 4D", lambda: BlockTT([v, v], 0)),
-        ("must be 3D", lambda: BlockTT([blk, blk], 0)),
         ("boundary ranks", lambda: TTVector([np.ones((2, 2, 1))])),
         ("boundary ranks", lambda: TTOperator([np.ones((1, 2, 2, 2))])),
-        ("boundary ranks", lambda: BlockTT([blk, np.ones((1, 2, 3))], 0)),
         ("rank mismatch between cores 0 and 1",
          lambda: TTOperator([np.ones((1, 2, 2, 2)), np.ones((3, 2, 2, 1))])),
-        ("rank mismatch between cores 1 and 2",
-         lambda: BlockTT([v, np.ones((1, 2, 3, 2)), np.ones((3, 2, 1))], 1)),
         ("square modes", lambda: TTOperator([op, np.ones((1, 3, 2, 1))])),
-        ("block index out of range", lambda: BlockTT([blk], 1)),
-        ("block index out of range", lambda: BlockTT([blk], -1)),
     ]
     for message, make in cases:
         with pytest.raises(ValueError, match=message):

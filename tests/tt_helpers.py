@@ -9,7 +9,6 @@ import numpy as np
 
 from ttmep.tt_core import (
     DENSE_CAP,
-    BlockTT,
     CapExceededError,
     TTOperator,
     TTVector,
@@ -39,33 +38,31 @@ def identity_operator(mode_sizes) -> TTOperator:
     return TTOperator([np.eye(n).reshape(1, n, n, 1) for n in mode_sizes])
 
 
-def _plain_core(t, k: int) -> np.ndarray:
-    if isinstance(t, BlockTT) and k == t.block_index:
-        raise ValueError("cannot orthonormalize the block core")
-    g = t.cores[k]
+def _plain_core(cores: list, k: int) -> np.ndarray:
+    g = cores[k]
     if g.ndim != 3:
         raise ValueError("core must be 3D")
     return g
 
 
-def left_orthonormalize_core(t, k: int) -> np.ndarray:
-    """Replace core k by its left-orthonormal factor and return the transfer.
+def left_orthonormalize_core(cores: list, k: int) -> np.ndarray:
+    """Replace ``cores[k]`` by its left-orthonormal factor; return the transfer.
 
     The returned matrix R (shape new_rank x r_k) must be absorbed into core
     k+1 by the caller (``absorb_transfer_right``) to keep the represented
-    tensor unchanged. For block trains, k must not be the block index.
+    tensor unchanged. The 4D block core of a block iterate is refused.
     """
-    r0, n, r1 = _plain_core(t, k).shape
-    q, r = _positive_qr(t.cores[k].reshape(r0 * n, r1))
-    t.cores[k] = q.reshape(r0, n, q.shape[1])
+    r0, n, r1 = _plain_core(cores, k).shape
+    q, r = _positive_qr(cores[k].reshape(r0 * n, r1))
+    cores[k] = q.reshape(r0, n, q.shape[1])
     return r
 
 
-def right_orthonormalize_core(t, k: int) -> np.ndarray:
+def right_orthonormalize_core(cores: list, k: int) -> np.ndarray:
     """Mirror of ``left_orthonormalize_core``; transfer goes to core k-1."""
-    r0, n, r1 = _plain_core(t, k).shape
-    q, r = _positive_qr(t.cores[k].reshape(r0, n * r1).T)
-    t.cores[k] = q.T.reshape(q.shape[1], n, r1)
+    r0, n, r1 = _plain_core(cores, k).shape
+    q, r = _positive_qr(cores[k].reshape(r0, n * r1).T)
+    cores[k] = q.T.reshape(q.shape[1], n, r1)
     return r.T
 
 
@@ -81,16 +78,17 @@ def is_right_orthonormal(core: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(m @ np.conj(m.T) - np.eye(r0))) <= tol)
 
 
-def block_columns_dense(x: BlockTT) -> np.ndarray:
-    """Densify all block columns into a matrix."""
-    total = int(np.prod(x.mode_sizes, dtype=np.int64))
-    if total * x.block_size > DENSE_CAP:
+def block_columns_dense(cores: list, k: int) -> np.ndarray:
+    """Densify all columns of the block iterate ``(cores, k)`` into a matrix."""
+    b = cores[k].shape[2]
+    total = int(np.prod([g.shape[1] for g in cores], dtype=np.int64))
+    if total * b > DENSE_CAP:
         raise CapExceededError("dense block would exceed cap")
     columns = []
-    for i_b in range(x.block_size):
-        cores = list(x.cores)
-        cores[x.block_index] = x.cores[x.block_index][:, :, i_b, :]
-        columns.append(densify(TTVector(cores)))
+    for i_b in range(b):
+        column = list(cores)
+        column[k] = cores[k][:, :, i_b, :]
+        columns.append(densify(TTVector(column)))
     return np.stack(columns, axis=1)
 
 
@@ -105,6 +103,7 @@ def random_operator(rng, sizes, ranks):
 
 
 def orthonormal_block(rng, sizes, b, ranks, index=None):
+    """Random block iterate ``(cores, index)`` with an orthonormal frame."""
     m = len(sizes)
     index = m // 2 if index is None else index
     full = list(feasible_ranks(sizes, ranks))
@@ -114,11 +113,10 @@ def orthonormal_block(rng, sizes, b, ranks, index=None):
             cores.append(rng.standard_normal((full[k], n, b, full[k + 1])))
         else:
             cores.append(rng.standard_normal((full[k], n, full[k + 1])))
-    x = BlockTT(cores, index)
     for k in range(index):
-        r = left_orthonormalize_core(x, k)
-        absorb_transfer_right(x, k, r)
+        r = left_orthonormalize_core(cores, k)
+        absorb_transfer_right(cores, k, r)
     for k in range(m - 1, index, -1):
-        l = right_orthonormalize_core(x, k)
-        absorb_transfer_left(x, k, l)
-    return x
+        l = right_orthonormalize_core(cores, k)
+        absorb_transfer_left(cores, k, l)
+    return cores, index
