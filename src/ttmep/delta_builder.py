@@ -10,6 +10,7 @@ without ever enumerating permutations.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from math import comb
 
@@ -120,14 +121,12 @@ def apply_shift(prob: MEProblem, eta: float) -> MEProblem:
 
 
 def shift_generated(g: GeneratedProblem, eta: float) -> GeneratedProblem:
-    """``apply_shift`` for generated problems, keeping the spectra in sync."""
-    return GeneratedProblem(
+    """``apply_shift`` for generated problems, keeping the spectra in sync.
+
+    The result shares the factors and ``spectrum_b`` arrays with ``g``.
+    """
+    return replace(
+        g,
         problem=apply_shift(g.problem, eta),
-        u_factors=[u.copy() for u in g.u_factors],
-        z_factors=[z.copy() for z in g.z_factors],
-        spectrum_a=[
-            g.spectrum_a[i] + eta * g.spectrum_b[i][g.m - 1] for i in range(g.m)
-        ],
-        spectrum_b=[[s.copy() for s in row] for row in g.spectrum_b],
-        seed=g.seed,
+        spectrum_a=g.spectrum_a + eta * g.spectrum_b[:, -1],
     )

@@ -90,14 +90,42 @@ class EigenTuple:
 
 @dataclass
 class GeneratedProblem:
-    """Problem with known diagonalization A_i = U_i diag(a_i) Z_i."""
+    """Problem with known diagonalization A_i = U_i diag(a_i) Z_i.
+
+    The parts are arrays over the m equations of a problem with one mode
+    size n: ``u_factors`` and ``z_factors`` (m, n, n), ``spectrum_a``
+    (m, n) and ``spectrum_b`` (m, m, n), with B_ij = U_i diag(b_ij) Z_i.
+    Nested lists are stacked on construction; a part of another shape or
+    with non-finite entries, or unequal mode sizes, raise ``ValueError``.
+    """
 
     problem: MEProblem
-    u_factors: list[np.ndarray]
-    z_factors: list[np.ndarray]
-    spectrum_a: list[np.ndarray]
-    spectrum_b: list[list[np.ndarray]]
+    u_factors: np.ndarray
+    z_factors: np.ndarray
+    spectrum_a: np.ndarray
+    spectrum_b: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        m, sizes = self.problem.m, self.problem.sizes
+        if len(set(sizes)) != 1:
+            raise ValueError(f"generator needs equal mode sizes, got {list(sizes)}")
+        n = sizes[0]
+        for name, shape in (
+            ("u_factors", (m, n, n)),
+            ("z_factors", (m, n, n)),
+            ("spectrum_a", (m, n)),
+            ("spectrum_b", (m, m, n)),
+        ):
+            try:
+                part = np.ascontiguousarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:  # ragged, or not numbers
+                raise ValueError(f"generator {name} is not an array of shape {shape}") from exc
+            if part.shape != shape:
+                raise ValueError(f"generator {name} has shape {part.shape}, expected {shape}")
+            if not np.all(np.isfinite(part)):
+                raise ValueError(f"generator {name} has non-finite entries")
+            setattr(self, name, part)
 
     @property
     def m(self) -> int:
@@ -111,19 +139,13 @@ class GeneratedProblem:
         """Largest relative deviation of U diag(.) Z from the stored matrices."""
         worst = 0.0
         for i in range(self.m):
-            ref = self.u_factors[i] @ np.diag(self.spectrum_a[i]) @ self.z_factors[i]
-            scale = max(np.linalg.norm(ref), 1e-300)
-            worst = max(worst, np.linalg.norm(ref - self.problem.a[i]) / scale)
-            for j in range(self.m):
-                ref = (
-                    self.u_factors[i]
-                    @ np.diag(self.spectrum_b[i][j])
-                    @ self.z_factors[i]
-                )
+            for spec, mat in zip(
+                (self.spectrum_a[i], *self.spectrum_b[i]),
+                (self.problem.a[i], *self.problem.b[i]),
+            ):
+                ref = self.u_factors[i] @ np.diag(spec) @ self.z_factors[i]
                 scale = max(np.linalg.norm(ref), 1e-300)
-                worst = max(
-                    worst, np.linalg.norm(ref - self.problem.b[i][j]) / scale
-                )
+                worst = max(worst, np.linalg.norm(ref - mat) / scale)
         return worst
 
 
@@ -169,36 +191,22 @@ def generate_random_mep(m: int, n: int, seed: int) -> GeneratedProblem:
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
     rng = np.random.default_rng(seed)
-    u_factors = []
-    z_factors = []
-    for _ in range(m):
-        u_factors.append(np.eye(n) + 0.3 * rng.random((n, n)))
-        z_factors.append(np.eye(n) + 0.3 * rng.random((n, n)))
-    a_spec = -5.0 * rng.standard_normal((n, m))
+    factors = np.eye(n) + 0.3 * rng.random((m, 2, n, n))  # U_i, then Z_i, per i
+    u_factors, z_factors = factors[:, 0], factors[:, 1]
+    spectrum_a = -5.0 * rng.standard_normal((n, m)).T
     nodes = chebyshev_lobatto(n)
     limits = np.linspace(-1.9, 2.0, 2 * m + 1)[: 2 * m]
-    spectrum_a = [a_spec[:, i].copy() for i in range(m)]
-    spectrum_b = []
-    a_mats = []
-    b_mats = []
-    for i in range(m):
-        lo, hi = limits[2 * i], limits[2 * i + 1]
-        base = nodes / 2.0 * (hi - lo) + (lo + hi) / 2.0
-        row_spec = [base ** j for j in range(m)]
-        spectrum_b.append(row_spec)
-        a_mats.append(u_factors[i] @ np.diag(spectrum_a[i]) @ z_factors[i])
-        b_mats.append(
-            [u_factors[i] @ np.diag(s) @ z_factors[i] for s in row_spec]
-        )
-    prob = MEProblem(a=a_mats, b=b_mats)
-    return GeneratedProblem(
-        problem=prob,
-        u_factors=u_factors,
-        z_factors=z_factors,
-        spectrum_a=spectrum_a,
-        spectrum_b=spectrum_b,
-        seed=seed,
+    lo, hi = limits[0::2, np.newaxis], limits[1::2, np.newaxis]
+    base = nodes / 2.0 * (hi - lo) + (lo + hi) / 2.0  # (m, n)
+    spectrum_b = np.stack([base**j for j in range(m)], axis=1)
+    prob = MEProblem(
+        a=[u @ np.diag(s) @ z for u, s, z in zip(u_factors, spectrum_a, z_factors)],
+        b=[
+            [u @ np.diag(s) @ z for s in row]
+            for u, row, z in zip(u_factors, spectrum_b, z_factors)
+        ],
     )
+    return GeneratedProblem(prob, u_factors, z_factors, spectrum_a, spectrum_b, seed)
 
 
 def index_eigenvalues(g: GeneratedProblem, idx: np.ndarray):
@@ -209,11 +217,9 @@ def index_eigenvalues(g: GeneratedProblem, idx: np.ndarray):
     solution is the tuple. Returns (lam of shape (T, m), ok), where ``ok``
     marks the systems that are nonsingular with a finite solution.
     """
-    a_spec = np.stack(g.spectrum_a)  # (m, n)
-    b_spec = np.stack([np.stack(row) for row in g.spectrum_b])  # (m, m, n)
     rows = np.arange(g.m)
-    mats = b_spec[rows[np.newaxis, :, np.newaxis], rows[np.newaxis, np.newaxis, :], idx[:, :, np.newaxis]]
-    rhs = a_spec[rows[np.newaxis, :], idx]
+    mats = g.spectrum_b[rows[np.newaxis, :, np.newaxis], rows[np.newaxis, np.newaxis, :], idx[:, :, np.newaxis]]
+    rhs = g.spectrum_a[rows[np.newaxis, :], idx]
     lam = _solve_halving(mats, rhs)
     return lam, np.all(np.isfinite(lam), axis=1)
 
@@ -265,7 +271,7 @@ def oracle_eigenvalues(g: GeneratedProblem, how_many: int, target: complex = 0.0
         kept.extend((float(keys[t]), int(flat[t]), lam[t].copy()) for t in part)
     kept.sort(key=lambda item: (item[0], item[1]))
     kept = kept[:how_many]
-    z_inv = [np.linalg.inv(z) for z in g.z_factors]
+    z_inv = np.linalg.inv(g.z_factors)
     tuples = []
     for _, flat_index, lam_row in kept:
         multi = np.unravel_index(flat_index, (n,) * m)
@@ -424,24 +430,29 @@ def problem_to_json(prob: MEProblem | GeneratedProblem) -> dict:
     if g is not None:
         doc["generator"] = {
             "seed": g.seed,
-            "a": [s.tolist() for s in g.spectrum_a],
-            "b": [[s.tolist() for s in row] for row in g.spectrum_b],
+            "a": g.spectrum_a.tolist(),
+            "b": g.spectrum_b.tolist(),
         }
     return doc
+
+
+def _integer(value, name: str) -> int:
+    if not float(value).is_integer():  # a fraction, infinity or NaN
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:
     """The problem a document holds; ``ValueError`` for a malformed one."""
     try:
-        m = int(doc["m"])
-        sizes = [int(s) for s in doc["sizes"]]
+        m = _integer(doc["m"], "m")
+        sizes = [_integer(s, "sizes entry") for s in doc["sizes"]]
         a = [np.asarray(mat, dtype=float) for mat in doc["A"]]
         b = [[np.asarray(mat, dtype=float) for mat in row] for row in doc["B"]]
         gen = doc.get("generator")
         if gen is not None:
-            spectrum_a = [np.asarray(s, dtype=float) for s in gen["a"]]
-            spectrum_b = [[np.asarray(s, dtype=float) for s in row] for row in gen["b"]]
-            seed = int(gen["seed"])
+            seed = _integer(gen["seed"], "generator seed")
+            spectra = gen["a"], gen["b"]
     except TypeError as exc:  # a list, number or null where the format has another type
         raise ValueError(f"malformed problem document: {exc}") from exc
     prob = MEProblem(a=a, b=b)
@@ -449,19 +460,10 @@ def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:
         raise ValueError("header does not match the stored matrices")
     if gen is None:
         return prob
-    if len(spectrum_a) != m or [len(row) for row in spectrum_b] != [m] * m:
-        raise ValueError("generator needs m spectra a and an m x m grid of spectra b")
     # the seed pins the factors; the stored spectra are authoritative (they
     # may have been shifted since generation)
     regen = generate_random_mep(m, sizes[0], seed)
-    g = GeneratedProblem(
-        problem=prob,
-        u_factors=regen.u_factors,
-        z_factors=regen.z_factors,
-        spectrum_a=spectrum_a,
-        spectrum_b=spectrum_b,
-        seed=seed,
-    )
+    g = GeneratedProblem(prob, regen.u_factors, regen.z_factors, *spectra, seed)
     if g.reconstruction_error() > 1e-11:
         raise ValueError("generator metadata does not reproduce the stored matrices")
     return g

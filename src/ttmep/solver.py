@@ -289,27 +289,22 @@ def _is_effectively_real(vec: np.ndarray) -> bool:
     return scale == 0 or np.max(np.abs(vec.imag)) <= 1e-13 * scale
 
 
-def select_eigenpairs(
-    candidates: list[_Candidate],
-    previous_estimates: list[np.ndarray],
-    b: int,
-    cos_threshold: float,
-    rng: np.random.Generator,
-    dim: int,
-):
-    """Pick block columns from the processed Ritz candidates.
+def select_eigenpairs(state: SweepState, candidates: list[_Candidate]):
+    """Pick the block's columns at mode ``state.k`` from the processed Ritz candidates.
 
     Converged candidates are never re-selected. Candidates whose current
-    rank-one middle factor matches a previous-step estimate (cosine above
-    the threshold) come first, ordered by estimated residual; the remainder
-    fill up by estimated residual, and random columns complete the block. A
-    complex pair occupies two columns (real and imaginary part); its
-    conjugate twin is consumed with it.
+    rank-one middle factor matches one of ``state.estimates`` (cosine above
+    the config's threshold) come first, ordered by estimated residual; the
+    remainder fill up by estimated residual, and random unit columns of the
+    block core's local size, drawn from ``state.rng``, complete the block of
+    ``block_size`` columns. A complex pair occupies two columns (real and
+    imaginary part); its conjugate twin is consumed with it.
     """
+    b, cos_threshold = state.config.block_size, state.config.cos_threshold
     priority = sorted(
         (c for c in candidates if not c.converged),
         key=lambda c: (
-            not any(principal_cosine(c.middle, e) > cos_threshold for e in previous_estimates),
+            not any(principal_cosine(c.middle, e) > cos_threshold for e in state.estimates),
             c.est_residual,
         ),
     )
@@ -335,8 +330,9 @@ def select_eigenpairs(
                     1 + abs(c.mu)
                 ):
                     consumed.add(id(other))
+    rl, n_k, _, rr = state.cores[state.k].shape
     while len(columns) < b:
-        vec = rng.standard_normal(dim)
+        vec = state.rng.standard_normal(rl * n_k * rr)
         columns.append(vec / np.linalg.norm(vec))
     return np.stack(columns, axis=1), selected
 
@@ -401,9 +397,7 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
         vec = geig.vector(i)
         coeff = (vec / np.linalg.norm(vec)).reshape(rl, n_k, rr)
         candidates.append(check_convergence(state, geig.eigenvalues[i], coeff, direction))
-    columns, selected = select_eigenpairs(
-        candidates, state.estimates, b, config.cos_threshold, state.rng, dim
-    )
+    columns, selected = select_eigenpairs(state, candidates)
     t_sel = time.perf_counter() - t0
 
     t0 = time.perf_counter()

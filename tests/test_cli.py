@@ -452,6 +452,15 @@ def _malformed_problem_documents() -> dict:
     short_b_row["generator"]["b"][1].pop()
     null_seed = copy()
     null_seed["generator"]["seed"] = None
+    a_numbers, length_1, ragged_b, nan_a, unequal = (copy() for _ in range(5))
+    a_numbers["generator"]["a"] = [1.0, 2.0]
+    length_1["generator"]["a"] = [s[:1] for s in base["generator"]["a"]]
+    length_1["generator"]["b"] = [[s[:1] for s in row] for row in base["generator"]["b"]]
+    ragged_b["generator"]["b"][1][1].pop()
+    nan_a["generator"]["a"][1][2] = float("nan")
+    unequal["sizes"] = [3, 4]
+    unequal["A"][1] = np.eye(4).tolist()
+    unequal["B"][1] = [np.eye(4).tolist()] * 2
     return {
         "list": [base],
         "m-null": {**copy(), "m": None},
@@ -465,10 +474,29 @@ def _malformed_problem_documents() -> dict:
         "A_1-flat": flat,
         "generator-short-a": short_a,
         "generator-short-b-row": short_b_row,
+        "generator-a-numbers": a_numbers,
+        "generator-spectra-length-1": length_1,
+        "generator-b-ragged": ragged_b,
+        "generator-a-nan": nan_a,
+        "sizes-fraction": {**copy(), "sizes": [3.5, 3]},
+        "m-fraction": {**copy(), "m": 2.7},
+        "m-infinite": {**copy(), "m": float("inf")},
+        "generator-unequal-sizes": unequal,
     }
 
 
 MALFORMED_PROBLEMS = _malformed_problem_documents()
+# what the message of a malformed document says about the part at fault
+NAMED_PART = {
+    "generator-a-numbers": "generator spectrum_a",
+    "generator-spectra-length-1": "generator spectrum_a",
+    "generator-b-ragged": "generator spectrum_b",
+    "generator-a-nan": "generator spectrum_a has non-finite entries",
+    "sizes-fraction": "sizes entry must be an integer",
+    "m-fraction": "m must be an integer",
+    "m-infinite": "m must be an integer",
+    "generator-unequal-sizes": "generator needs equal mode sizes",
+}
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])
@@ -478,5 +506,6 @@ def test_malformed_problem_file_exits_2(tmp_path, name, command, capsys):
     path.write_text(json.dumps(MALFORMED_PROBLEMS[name]))
     out = tmp_path / ("o" if command == "solve" else "o.csv")
     assert main([command, str(path), "--out", str(out)]) == 2
-    assert "invalid input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid input" in err and NAMED_PART.get(name, "") in err
     assert list(tmp_path.iterdir()) == [path]

@@ -1,5 +1,7 @@
 """Problem container, generator, oracle, refinement, duplicate metric."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,27 @@ def test_generator_distinct_lambda_m():
     tuples, _ = oracle_eigenvalues(g, 400, target=0.0)
     lam = np.sort([t.lam[-1].real for t in tuples])
     assert np.min(np.diff(lam)) > 1e-10
+
+
+def test_generated_problem_stacks_its_parts_and_checks_their_shapes():
+    g = generate_random_mep(3, 4, seed=3)
+    shapes = {"u_factors": (3, 4, 4), "z_factors": (3, 4, 4), "spectrum_a": (3, 4),
+              "spectrum_b": (3, 3, 4)}
+    for name, shape in shapes.items():
+        assert isinstance(getattr(g, name), np.ndarray) and getattr(g, name).shape == shape
+    nested = dataclasses.replace(g, spectrum_b=[list(row) for row in g.spectrum_b])
+    assert nested.spectrum_b.tobytes() == g.spectrum_b.tobytes()
+    for name in shapes:
+        with pytest.raises(ValueError, match=f"generator {name} has shape"):
+            dataclasses.replace(g, **{name: getattr(g, name)[:2]})
+    with pytest.raises(ValueError, match="generator spectrum_b is not an array"):
+        dataclasses.replace(g, spectrum_b=[[np.ones(4)] * 3] * 2 + [[np.ones(3)] * 3])
+    unequal = MEProblem(
+        a=[g.problem.a[0], np.eye(5), g.problem.a[2]],
+        b=[g.problem.b[0], [np.eye(5)] * 3, g.problem.b[2]],
+    )
+    with pytest.raises(ValueError, match=r"equal mode sizes, got \[4, 5, 4\]"):
+        dataclasses.replace(g, problem=unequal)
 
 
 def test_generator_validates_arguments():

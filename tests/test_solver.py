@@ -261,7 +261,7 @@ def test_check_convergence_trqi_failure_keeps_the_pair_selectable(monkeypatch):
     for walk in walks:
         assert walk.outcome == "trqi_failed" and not walk.converged
         assert walk.est_residual < config.eps1
-        _, selected = select_eigenpairs([walk], [], 1, 0.99, state.rng, coeff.size)
+        _, selected = select_eigenpairs(state, [walk])
         assert selected == [walk]
     assert state.found == []
 
@@ -315,6 +315,19 @@ def _mk_candidate(mu, coeff, middle, est, converged=False):
     )
 
 
+def _selection_state(rng, b, estimates=()):
+    """What select_eigenpairs reads of a sweep state, at a local size of 12."""
+    return SweepState(
+        prob=None,
+        config=SolverConfig(block_size=b),
+        cores=[np.zeros((2, 3, b, 2))],
+        k=0,
+        envs=None,
+        rng=rng,
+        estimates=list(estimates),
+    )
+
+
 def test_selection_prefers_matched_by_residual():
     rng = np.random.default_rng(11)
     dim = 12
@@ -326,7 +339,7 @@ def test_selection_prefers_matched_by_residual():
     # every candidate matches some previous estimate: overflow rule keeps
     # the smallest estimated residuals
     cols, selected = select_eigenpairs(
-        cands, [m / np.linalg.norm(m) for m in mids], 2, 0.99, rng, dim
+        _selection_state(rng, 2, [m / np.linalg.norm(m) for m in mids]), cands
     )
     assert cols.shape == (dim, 2)
     assert [c.est_residual for c in selected] == [0.0, 1.0]
@@ -334,7 +347,6 @@ def test_selection_prefers_matched_by_residual():
 
 def test_selection_fills_with_smallest_residual_when_none_match():
     rng = np.random.default_rng(12)
-    dim = 12
     cands = [
         _mk_candidate(
             1.0 + i, rng.standard_normal((2, 3, 2)), rng.standard_normal(3), est=10.0 - i
@@ -342,20 +354,19 @@ def test_selection_fills_with_smallest_residual_when_none_match():
         for i in range(4)
     ]
     other = rng.standard_normal(3)
-    cols, selected = select_eigenpairs(cands, [], 2, 0.99, rng, dim)
+    cols, selected = select_eigenpairs(_selection_state(rng, 2), cands)
     assert [c.est_residual for c in selected] == [7.0, 8.0]
 
 
 def test_selection_planted_estimate_match_wins():
     rng = np.random.default_rng(13)
-    dim = 12
     winner_mid = rng.standard_normal(3)
     cands = [
         _mk_candidate(2.0, rng.standard_normal((2, 3, 2)), rng.standard_normal(3), est=0.01),
         _mk_candidate(3.0, rng.standard_normal((2, 3, 2)), winner_mid, est=5.0),
     ]
     cols, selected = select_eigenpairs(
-        cands, [winner_mid / np.linalg.norm(winner_mid)], 1, 0.99, rng, dim
+        _selection_state(rng, 1, [winner_mid / np.linalg.norm(winner_mid)]), cands
     )
     assert selected[0].mu == 3.0  # cosine 1 beats smaller residual
 
@@ -366,7 +377,7 @@ def test_selection_excludes_converged_and_pads_with_random():
     cands = [
         _mk_candidate(1.0, rng.standard_normal((2, 3, 2)), rng.standard_normal(3), 0.1, converged=True)
     ]
-    cols, selected = select_eigenpairs(cands, [], 3, 0.99, rng, dim)
+    cols, selected = select_eigenpairs(_selection_state(rng, 3), cands)
     assert selected == []
     assert cols.shape == (dim, 3)
     # random columns are unit norm
@@ -375,18 +386,17 @@ def test_selection_excludes_converged_and_pads_with_random():
 
 def test_selection_complex_pair_consumes_two_columns():
     rng = np.random.default_rng(15)
-    dim = 12
     v = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
     mid = rng.standard_normal(3)
     pair = _mk_candidate(1.0 + 2.0j, v, mid, est=0.0)
     twin = _mk_candidate(1.0 - 2.0j, np.conj(v), mid, est=0.0)
     real_c = _mk_candidate(1.5, rng.standard_normal((2, 3, 2)), mid, est=1.0)
-    cols, selected = select_eigenpairs([pair, twin, real_c], [], 3, 0.99, rng, dim)
+    cols, selected = select_eigenpairs(_selection_state(rng, 3), [pair, twin, real_c])
     assert len(selected) == 2  # the pair (2 columns) + the real one
     assert np.allclose(cols[:, 0], v.reshape(-1).real)
     assert np.allclose(cols[:, 1], v.reshape(-1).imag)
     # b=2 would not fit the pair plus the real candidate: pair wins, then pad
-    cols2, selected2 = select_eigenpairs([pair, twin, real_c], [], 2, 0.99, rng, dim)
+    cols2, selected2 = select_eigenpairs(_selection_state(rng, 2), [pair, twin, real_c])
     assert len(selected2) == 1 and selected2[0] is pair
 
 

@@ -18,7 +18,13 @@ of:
   residual norm, flags), in the order ``solve`` returns them;
 - ``steps``: the report steps without their timings ``wall_ms`` and
   ``phase_ms``; ``padded`` and ``outcomes`` are digested, so the walk
-  outcomes of every candidate count too.
+  outcomes of every candidate count too;
+- ``generator``: the unshifted generated problem's matrices, factors and
+  spectra, each taken through ``np.asarray``, so a record that holds
+  nested lists and one that holds stacked arrays digest alike;
+- ``oracle``: the 20 exact tuples of that problem nearest 0, by
+  ``oracle_eigenvalues``, digested as ``tuples`` is; only on workloads
+  small enough to enumerate (null on the others).
 
 The solver seed is the benchmark's pinned one unless ``--solver-seed``
 (repeatable) names others; one seed's trajectory can hide a difference
@@ -74,6 +80,13 @@ def tuples_digest(tuples) -> str:
     return h.hexdigest()
 
 
+def generator_digest(g) -> str:
+    h = hashlib.sha256()
+    for part in (g.problem.a, g.problem.b, g.u_factors, g.z_factors, g.spectrum_a, g.spectrum_b):
+        _update_array(h, part)
+    return h.hexdigest()
+
+
 def steps_digest(steps) -> str:
     kept = [{k: v for k, v in s.items() if k not in UNDIGESTED_STEP_FIELDS} for s in steps]
     return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
@@ -92,9 +105,12 @@ def workload_problem(w):
 
 def digest_workload(w, solver_seed: int) -> dict:
     from ttmep.delta_builder import build_delta0, build_delta_i
+    from ttmep.mep_problem import generate_random_mep, oracle_eigenvalues
     from ttmep.solver import SolverConfig, solve
+    from workloads import PROBLEM_SEED
 
     prob, _ = workload_problem(w)
+    g = generate_random_mep(w.m, w.n, seed=PROBLEM_SEED)
     config = SolverConfig(sweeps=w.sweeps, seed=solver_seed)
     out = {
         "workload": w.name,
@@ -108,6 +124,8 @@ def digest_workload(w, solver_seed: int) -> dict:
         steps=steps_digest(report["steps"]),
         n_tuples=len(tuples),
         sweeps_run=report["sweeps_run"],
+        generator=generator_digest(g),
+        oracle=tuples_digest(oracle_eigenvalues(g, 20)[0]) if w.enumerable else None,
     )
     return out
 
