@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 
-class SingularPencilError(RuntimeError):
+class SingularPencilError(np.linalg.LinAlgError):
     """Both matrices of a pencil are numerically rank-deficient together."""
 
 

@@ -23,7 +23,7 @@ ORACLE_CAP = 10_000_000
 ORACLE_CHUNK = 200_000
 
 
-class SingularRayleighError(RuntimeError):
+class SingularRayleighError(np.linalg.LinAlgError):
     """The m x m Rayleigh system is numerically singular."""
 
 
@@ -190,6 +190,8 @@ def generate_random_mep(m: int, n: int, seed: int) -> GeneratedProblem:
     """
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
+    if seed < 0:
+        raise ValueError(f"generator seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     factors = np.eye(n) + 0.3 * rng.random((m, 2, n, n))  # U_i, then Z_i, per i
     u_factors, z_factors = factors[:, 0], factors[:, 1]
@@ -338,7 +340,7 @@ def trqi_refine(
                 if nv == 0 or not np.all(np.isfinite(upd)):
                     raise np.linalg.LinAlgError("update vanished or is not finite")
                 new_vectors.append(upd / nv)
-        except (SingularRayleighError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return replace(best, flags=best.flags + ("refine-solve-failed",))
         vectors = new_vectors
         cand = EigenTuple.build(prob, lam, vectors, flags=best.flags)

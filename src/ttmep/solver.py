@@ -60,7 +60,7 @@ class SolverConfig:
 
     block_size: int = 5
     kick: int = 1
-    max_rank: int | None = None  # None -> block_size + 1
+    max_rank: int | None = None  # None becomes block_size + 1 when the config is built
     sweeps: int = 20
     eps: float = 1e-6
     eps1: float = 1e-8
@@ -77,7 +77,9 @@ class SolverConfig:
             raise ValueError("sweeps must be positive")
         if self.kick < 0:
             raise ValueError("kick must be non-negative")
-        if self.resolved_max_rank < self.block_size:
+        if self.max_rank is None:
+            self.max_rank = self.block_size + 1
+        if self.max_rank < self.block_size:
             raise ValueError("max rank must be at least the block size")
         if not 0 < self.cos_threshold <= 1:
             raise ValueError("cosine threshold must lie in (0, 1]")
@@ -91,10 +93,6 @@ class SolverConfig:
         if self.ritz_rule not in RITZ_RULES:
             raise ValueError(f"unknown Ritz rule {self.ritz_rule!r}")
 
-    @property
-    def resolved_max_rank(self) -> int:
-        return self.block_size + 1 if self.max_rank is None else self.max_rank
-
 
 @dataclass
 class StepRecord:
@@ -107,7 +105,7 @@ class StepRecord:
     n_converged_new: int
     wall_ms: float
     phase_ms: dict[str, float] = field(default_factory=dict)
-    ranks: tuple[int, ...] = ()
+    ranks: list[int] = field(default_factory=list)
     padded: bool = False  # select_ritz found too few qualifying Ritz values
     outcomes: dict[str, int] = field(default_factory=dict)  # per WALK_OUTCOMES
 
@@ -346,9 +344,8 @@ def init_iterate(sizes, config: SolverConfig, rng: np.random.Generator) -> list[
     sizes = tuple(int(n) for n in sizes)
     m = len(sizes)
     b = config.block_size
-    r = config.resolved_max_rank
     # the block index rides on mode 0, so it widens that mode's unfoldings
-    ranks = feasible_ranks((b * sizes[0], *sizes[1:]), [r] * (m - 1))
+    ranks = feasible_ranks((b * sizes[0], *sizes[1:]), [config.max_rank] * (m - 1))
     cores: list[np.ndarray] = [rng.standard_normal((1, sizes[0], b, ranks[1]))]
     for k in range(1, m):
         gauss = rng.standard_normal((sizes[k] * ranks[k + 1], ranks[k]))
@@ -403,7 +400,7 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
     t0 = time.perf_counter()
     cores[k] = np.ascontiguousarray(columns.reshape(rl, n_k, rr, b).transpose(0, 1, 3, 2))
     state.k = shift_block_core(
-        cores, k, direction, config.resolved_max_rank, enrichment=config.kick, rng=state.rng
+        cores, k, direction, config.max_rank, enrichment=config.kick, rng=state.rng
     )
     state.envs.refresh_after_shift(cores, k, state.k)
     state.estimates = [
@@ -426,7 +423,7 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
             "select_converge": 1e3 * t_sel,
             "mode_update": 1e3 * t_upd,
         },
-        ranks=(1, *(g.shape[-1] for g in cores)),
+        ranks=[1, *(g.shape[-1] for g in cores)],
         padded=padded,
         outcomes={o: sum(c.outcome == o for c in candidates) for o in WALK_OUTCOMES},
     )
@@ -480,11 +477,11 @@ def solve(
     final.sort(key=lambda t: (abs(t.lam[-1] - target), t.lam[-1].real, t.lam[-1].imag))
     report = {
         "target": target,
-        "config": _config_dict(config),
+        "config": asdict(config),
         "sweeps_run": state.sweep,
         "stop_reason": stop_reason,
         "delta_ranks": {"delta_m": list(delta_m.ranks), "delta_0": list(delta_0.ranks)},
-        "steps": [{**asdict(r), "ranks": list(r.ranks)} for r in records],
+        "steps": [asdict(r) for r in records],
         "tuples": [
             {
                 "lambda": [[float(v.real), float(v.imag)] for v in t.lam],
@@ -496,9 +493,3 @@ def solve(
         ],
     }
     return final, report
-
-
-def _config_dict(config: SolverConfig) -> dict:
-    doc = asdict(config)
-    doc["max_rank"] = config.resolved_max_rank
-    return doc

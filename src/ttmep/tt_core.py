@@ -520,16 +520,23 @@ def densify_frame(cores: list[np.ndarray], k: int) -> np.ndarray:
 # block-core shifting
 
 
-def _orthonormal_extension(basis: np.ndarray, count: int, rng: np.random.Generator):
-    """Random columns orthonormal to ``basis`` and to each other."""
-    rows = basis.shape[0]
-    count = min(count, rows - basis.shape[1])
+def _enrich(basis: np.ndarray, coef: np.ndarray, count: int, rng: np.random.Generator | None):
+    """``basis`` widened by ``count`` random columns, ``coef`` by as many zero rows.
+
+    The new columns are orthonormal to ``basis`` and to each other, so
+    ``basis @ coef`` is unchanged; at most the rows ``basis`` leaves free are added.
+    """
+    rows, cols = basis.shape
+    count = min(count, rows - cols)
     if count <= 0:
-        return np.zeros((rows, 0))
+        return basis, coef
     extra = rng.standard_normal((rows, count))
     extra -= basis @ (basis.T @ extra)
     q, _ = _positive_qr(extra)
-    return q[:, :count]
+    return (
+        np.concatenate([basis, q], axis=1),
+        np.concatenate([coef, np.zeros((count, coef.shape[1]))], axis=0),
+    )
 
 
 def shift_block_core(
@@ -562,12 +569,7 @@ def shift_block_core(
     r0, n, b, r1 = g.shape
     if direction == +1:
         u, coef = svd_split(g.reshape(r0 * n, b * r1), +1, target_rank)
-        if enrichment:
-            extra = _orthonormal_extension(u, enrichment, rng)
-            u = np.concatenate([u, extra], axis=1)
-            coef = np.concatenate(
-                [coef, np.zeros((extra.shape[1], b * r1))], axis=0
-            )
+        u, coef = _enrich(u, coef, enrichment, rng)
         rho_t = u.shape[1]
         cores[k] = u.reshape(r0, n, rho_t)
         coef = coef.reshape(rho_t, b, r1)
@@ -576,12 +578,7 @@ def shift_block_core(
     else:
         mat = g.transpose(0, 2, 1, 3).reshape(r0 * b, n * r1)
         core, coef = svd_split(mat, -1, target_rank)  # core has orthonormal rows
-        if enrichment:
-            extra = _orthonormal_extension(core.T, enrichment, rng)
-            core = np.concatenate([core, extra.T], axis=0)
-            coef = np.concatenate(
-                [coef, np.zeros((r0 * b, extra.shape[1]))], axis=1
-            )
+        core, coef = (a.T for a in _enrich(core.T, coef.T, enrichment, rng))
         rho_t = core.shape[0]
         cores[k] = core.reshape(rho_t, n, r1)
         coef = coef.reshape(r0, b, rho_t)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from ttmep.cli import _build_parser, main
+from ttmep.dense_kernels import SingularPencilError
 from ttmep.mep_problem import (
+    SingularRayleighError,
     generate_random_mep,
     oracle_eigenvalues,
     problem_to_json,
@@ -72,6 +74,7 @@ def test_solve_writes_report_csv_and_sidecar(tmp_path, small_problem):
     report = json.loads((tmp_path / "run.json").read_text())
     assert report["config"]["block_size"] == 2
     assert report["config"]["sweeps"] == 6
+    assert report["config"]["max_rank"] == 3
     rows = list(csv.DictReader(open(tmp_path / "run.csv")))
     assert len(rows) == len(report["tuples"])
     assert all(isinstance(t["flags"], list) for t in report["tuples"])
@@ -340,6 +343,13 @@ def test_bench_schema_and_phases(tmp_path):
             assert phase_sum <= total * 1.1
 
 
+def test_generate_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert main(["generate", "--m", "2", "--n", "3", "--seed", "-1", "--out", str(out)]) == 2
+    assert "generator seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
@@ -370,6 +380,19 @@ def test_solve_bad_config_flag_exits_2(tmp_path, small_problem, flag, monkeypatc
 
     monkeypatch.setattr("ttmep.cli.solve", no_solve)
     assert main(["solve", str(small_problem), "--out", str(tmp_path / "o"), *flag]) == 2
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("error", [
+    SingularPencilError, SingularRayleighError, np.linalg.LinAlgError, FloatingPointError,
+])
+def test_numerical_failure_exits_3(tmp_path, small_problem, error, monkeypatch, capsys):
+    def failing_solve(*args, **kwargs):
+        raise error("stub failure")
+
+    monkeypatch.setattr("ttmep.cli.solve", failing_solve)
+    assert main(["solve", str(small_problem), "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: stub failure" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
 
 
@@ -452,6 +475,8 @@ def _malformed_problem_documents() -> dict:
     short_b_row["generator"]["b"][1].pop()
     null_seed = copy()
     null_seed["generator"]["seed"] = None
+    negative_seed = copy()
+    negative_seed["generator"]["seed"] = -1
     a_numbers, length_1, ragged_b, nan_a, unequal = (copy() for _ in range(5))
     a_numbers["generator"]["a"] = [1.0, 2.0]
     length_1["generator"]["a"] = [s[:1] for s in base["generator"]["a"]]
@@ -468,6 +493,7 @@ def _malformed_problem_documents() -> dict:
         "B-flat": {**copy(False), "B": [1.0, 2.0]},
         "generator-number": {**copy(), "generator": 5},
         "generator-seed-null": null_seed,
+        "generator-seed-negative": negative_seed,
         "empty": {"m": 0, "sizes": [], "A": [], "B": []},
         "one-parameter": {"m": 1, "sizes": [3], "A": base["A"][:1], "B": [base["B"][0][:1]]},
         "A_1-number": number,
@@ -496,6 +522,7 @@ NAMED_PART = {
     "m-fraction": "m must be an integer",
     "m-infinite": "m must be an integer",
     "generator-unequal-sizes": "generator needs equal mode sizes",
+    "generator-seed-negative": "generator seed must be non-negative",
 }
 
 

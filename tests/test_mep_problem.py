@@ -164,6 +164,8 @@ def test_generator_validates_arguments():
         generate_random_mep(1, 4, seed=0)
     with pytest.raises(ValueError):
         generate_random_mep(2, 1, seed=0)
+    with pytest.raises(ValueError, match="generator seed must be non-negative"):
+        generate_random_mep(2, 3, seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_init_iterate_frame_orthonormal_and_ranks():
     config = SolverConfig(block_size=2, seed=1)
     cores = init_iterate((3, 3, 3), config, np.random.default_rng(1))
     assert cores[0].ndim == 4 and all(g.ndim == 3 for g in cores[1:])
-    assert max(g.shape[-1] for g in cores) <= config.resolved_max_rank
+    assert max(g.shape[-1] for g in cores) <= config.max_rank
     f = densify_frame(cores, 0)
     assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
@@ -449,7 +449,7 @@ def test_full_sweep_keeps_frames_orthonormal():
     delta_0 = build_delta0(work, round_tol=1e-13)
     config = SolverConfig(block_size=2, seed=4)
     state = make_state(work, delta_m, delta_0, config)
-    size_cap = (config.resolved_max_rank + config.kick) ** 2 * max(work.sizes)
+    size_cap = (config.max_rank + config.kick) ** 2 * max(work.sizes)
     for direction, modes in ((+1, range(2)), (-1, range(2, 0, -1))):
         state.estimates.clear()
         for mode in modes:
@@ -576,6 +576,15 @@ def test_config_validation():
     assert SolverConfig(delta_round_tol=0.0).delta_round_tol == 0.0
 
 
+def test_config_fixes_its_max_rank_when_built():
+    assert SolverConfig(block_size=3).max_rank == 4
+    assert SolverConfig(block_size=3, max_rank=None).max_rank == 4
+    assert SolverConfig(block_size=3, max_rank=7).max_rank == 7
+    assert SolverConfig(block_size=3, max_rank=3).max_rank == 3
+    # a built config's max_rank is a number, so replace keeps it
+    assert dataclasses.replace(SolverConfig(block_size=3), block_size=2).max_rank == 4
+
+
 def _admitted_per_sweep(report) -> dict[int, int]:
     per: dict[int, int] = {}
     for s in report["steps"]:
@@ -601,8 +610,10 @@ def test_step_records_count_every_walk_outcome():
     work, _, _ = shifted_positive(g)
     config = SolverConfig(block_size=2, sweeps=3, seed=7)
     _, report = solve(work, target=0.0, config=config)
+    assert report["config"] == dataclasses.asdict(config)
     totals = dict.fromkeys(WALK_OUTCOMES, 0)
     for s in report["steps"]:
+        assert isinstance(s["ranks"], list) and len(s["ranks"]) == work.m + 1
         assert tuple(s["outcomes"]) == WALK_OUTCOMES
         assert sum(s["outcomes"].values()) == s["n_candidates"]
         assert s["outcomes"]["admitted"] == s["n_converged_new"]
