@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="phase timings over a parameter range")
     group = p_bench.add_mutually_exclusive_group(required=True)
     group.add_argument("--m-range", help="A:B inclusive range of m at fixed --n")
-    group.add_argument("--n-range", help="A:B:STEP range of n at fixed --m")
+    group.add_argument("--n-range", help="A:B[:STEP] inclusive range of n at fixed --m")
     p_bench.add_argument("--m", type=int, default=4, help="fixed m for --n-range")
     p_bench.add_argument("--n", type=int, default=10, help="fixed n for --m-range")
     p_bench.add_argument("--seed", type=int, default=0)
@@ -245,19 +245,27 @@ def _sampled_lambda_m_min(g, seed: int) -> float:
     return float(lam[ok, m - 1].real.min())
 
 
+def _bench_range(flag: str, text: str, stepped: bool) -> range:
+    """The inclusive range ``text`` gives ``flag``: ``A:B``, or ``A:B[:STEP]`` if ``stepped``."""
+    form = "A:B[:STEP]" if stepped else "A:B"
+    parts = text.split(":")
+    if not 2 <= len(parts) <= (3 if stepped else 2):
+        raise ValueError(f"{flag} takes {form}, got {text!r}")
+    try:
+        lo, hi, step = (int(x) for x in parts + ["1"] * (3 - len(parts)))
+    except ValueError:
+        raise ValueError(f"{flag} takes {form} in integers, got {text!r}") from None
+    if lo > hi or step < 1:
+        rule = "A <= B and STEP >= 1" if stepped else "A <= B"
+        raise ValueError(f"{flag} got {text!r}, but {form} needs {rule}")
+    return range(lo, hi + 1, step)
+
+
 def cmd_bench(args) -> int:
     if args.m_range:
-        lo, hi = (int(x) for x in args.m_range.split(":"))
-        step = 1
+        params = [("m", v, v, args.n) for v in _bench_range("--m-range", args.m_range, False)]
     else:
-        lo, hi, *rest = (int(x) for x in args.n_range.split(":"))
-        step = rest[0] if rest else 1
-    if lo > hi or step < 1:
-        raise ValueError("a range A:B[:STEP] needs A <= B and STEP >= 1")
-    params = [
-        ("m", v, v, args.n) if args.m_range else ("n", v, args.m, v)
-        for v in range(lo, hi + 1, step)
-    ]
+        params = [("n", v, args.m, v) for v in _bench_range("--n-range", args.n_range, True)]
     config = SolverConfig(sweeps=args.sweeps, seed=args.seed)
     runs = ((False, dataclasses.replace(config, delta_round_tol=None)), (True, config))
     rows = []

@@ -70,11 +70,6 @@ class GeneralizedEigenResult:
         v /= sla.norm(v)
         return v
 
-    @property
-    def right(self) -> np.ndarray:
-        """All unit right eigenvectors, columnwise (built on each read)."""
-        return np.stack([self.vector(i) for i in range(self.lapack_right.shape[1])], axis=1)
-
 
 def _frobenius(a: np.ndarray) -> float:
     """||a||_F summed over the C-order flattening (a transient copy for

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tt_core import CapExceededError, TTOperator, rank_one_bilinear
+from .tt_core import CapExceededError, TTOperator, _integer, rank_one_bilinear
 
 ORACLE_CAP = 10_000_000
 # multi-indices solved per batch by oracle_eigenvalues
@@ -436,12 +436,6 @@ def problem_to_json(prob: MEProblem | GeneratedProblem) -> dict:
             "b": g.spectrum_b.tolist(),
         }
     return doc
-
-
-def _integer(value, name: str) -> int:
-    if not float(value).is_integer():  # a fraction, infinity or NaN
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:

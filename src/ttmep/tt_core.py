@@ -15,11 +15,11 @@ A frame, and the solver's block iterate with it, is a plain core list and
 the index k of its open core. In the block iterate b columns share every
 core but the one at k, of shape (r_{k-1}, n_k, b, r_k); column i_b threads
 the slice ``core[:, i_k, i_b, :]`` into the chain, and the cores left
-(right) of k are left- (right-) orthonormal. The module provides frame
-matrices assembled from the other cores, the environment contractions
-needed to project operators onto a frame without ever materializing it,
-SVD-based rounding, and the block-core shift that moves the open core one
-mode over while keeping the frame orthonormal.
+(right) of k are left- (right-) orthonormal. The module provides the
+environment contractions needed to project operators onto a frame without
+ever materializing it, SVD-based rounding, the block-core shift that moves
+the open core one mode over while keeping the frame orthonormal, and the
+JSON train format.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-DENSE_CAP = 10_000_000
 # largest local size r_l * n_k * r_r that frame_project assembles
 PROJECTED_DIM_CAP = 10_000
 SV_FLOOR = 1e-14
@@ -41,6 +40,12 @@ class CapExceededError(RuntimeError):
 
 def _as_tuple(xs) -> tuple[int, ...]:
     return tuple(int(x) for x in xs)
+
+
+def _integer(value, name: str) -> int:
+    if not float(value).is_integer():  # a fraction, infinity or NaN
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -99,70 +104,6 @@ class TTOperator(_Chain):
         for k, g in enumerate(self.cores):
             if g.shape[1] != g.shape[2]:
                 raise ValueError(f"core {k} must act on square modes")
-
-
-# ---------------------------------------------------------------------------
-# evaluation / densification
-
-
-def evaluate_operator(a: TTOperator, row_index, col_index) -> float:
-    """Entry of the represented operator at a (row, column) multi-index pair."""
-    ridx = _as_tuple(row_index)
-    cidx = _as_tuple(col_index)
-    if len(ridx) != a.order or len(cidx) != a.order:
-        raise IndexError("index length must equal the operator order")
-    for k, (i, j, n) in enumerate(zip(ridx, cidx, a.mode_sizes)):
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"index out of range for mode {k} of size {n}")
-    acc = a.cores[0][:, ridx[0], cidx[0], :]
-    for k in range(1, a.order):
-        acc = acc @ a.cores[k][:, ridx[k], cidx[k], :]
-    return acc[0, 0]
-
-
-def densify(v: TTVector) -> np.ndarray:
-    """Dense vector of length prod(mode_sizes), C-order linearization.
-
-    Entry at linear index ravel_multi_index((i_1,...,i_m)) is the chain
-    product G_1[:, i_1, :] @ ... @ G_m[:, i_m, :]; for rank-one trains this
-    is the Kronecker chain kron(x_1, ..., x_m).
-    """
-    total = int(np.prod(v.mode_sizes, dtype=np.int64))
-    if total > DENSE_CAP:
-        raise CapExceededError(f"dense size {total} exceeds cap {DENSE_CAP}")
-    acc = v.cores[0].reshape(v.mode_sizes[0], -1)
-    for k in range(1, v.order):
-        g = v.cores[k]
-        acc = acc @ g.reshape(g.shape[0], -1)
-        acc = acc.reshape(-1, g.shape[2])
-    return acc.reshape(-1)
-
-
-def densify_operator(a: TTOperator) -> np.ndarray:
-    """Dense matrix of the operator; rows/columns use the same C-order map."""
-    n_total = int(np.prod(a.mode_sizes, dtype=np.int64))
-    if n_total * n_total > DENSE_CAP:
-        raise CapExceededError(f"dense size {n_total}^2 exceeds cap {DENSE_CAP}")
-    acc = a.cores[0][0]  # (n, n, r)
-    rows = cols = a.mode_sizes[0]
-    for k in range(1, a.order):
-        g = a.cores[k]
-        acc = np.einsum("IJa,aijb->IiJjb", acc, g, optimize=True)
-        rows *= g.shape[1]
-        cols *= g.shape[2]
-        acc = acc.reshape(rows, cols, g.shape[3])
-    return acc[:, :, 0]
-
-
-def random_tt(rng: np.random.Generator, mode_sizes, ranks) -> TTVector:
-    """Random Gaussian train with the given interior ranks (clipped to feasible)."""
-    sizes = _as_tuple(mode_sizes)
-    full = list(feasible_ranks(sizes, ranks))
-    cores = [
-        rng.standard_normal((full[k], sizes[k], full[k + 1]))
-        for k in range(len(sizes))
-    ]
-    return TTVector(cores)
 
 
 def feasible_ranks(mode_sizes, ranks) -> tuple[int, ...]:
@@ -347,22 +288,6 @@ def _round_cores(cores: list, tol: float) -> list:
     ]
 
 
-def tt_round(v: TTVector, tol: float) -> TTVector:
-    """SVD rounding to a relative Frobenius tolerance.
-
-    The budget is split as tol/sqrt(m-1) per truncation, which bounds the
-    accumulated error by tol * ||v||. With tol = 0 only singular values at
-    the relative floor are dropped, recovering the minimal exact ranks.
-    The input is never written to: the result is a new train.
-    """
-    return TTVector(_round_cores(list(v.cores), tol))
-
-
-def tt_round_operator(a: TTOperator, tol: float) -> TTOperator:
-    """Rounding for operators: each core is rounded with its modes fused."""
-    return TTOperator(_round_cores(list(a.cores), tol))
-
-
 # ---------------------------------------------------------------------------
 # environments and frame products
 #
@@ -494,28 +419,6 @@ def frame_project(cores: list[np.ndarray], k: int, a: TTOperator, envs) -> np.nd
     return mat.reshape(dim, dim).T
 
 
-def densify_frame(cores: list[np.ndarray], k: int) -> np.ndarray:
-    """Dense frame of every core but the one at ``k`` (testing aid; capped)."""
-    rl, n_k, *_, rr = cores[k].shape
-    total = int(np.prod([g.shape[1] for g in cores], dtype=np.int64))
-    if total * rl * n_k * rr > DENSE_CAP:
-        raise CapExceededError("dense frame would exceed cap")
-    left = np.ones((1, 1))
-    for p in range(k):
-        g = cores[p]
-        left = np.einsum("Ia,aib->Iib", left, g).reshape(-1, g.shape[2])
-    right = np.ones((1, 1))
-    for p in range(len(cores) - 1, k, -1):
-        g = cores[p]
-        right = np.einsum("aib,bJ->aiJ", g, right).reshape(g.shape[0], -1)
-    # rows (I, i, J), cols (x, i, u): identity stitched along the open mode
-    nl, nr = left.shape[0], right.shape[1]
-    mat = np.zeros((nl, n_k, nr, rl, n_k, rr), dtype=np.result_type(left, right))
-    for i in range(n_k):
-        mat[:, i, :, :, i, :] = np.einsum("Ix,uJ->IJxu", left, right)
-    return mat.reshape(nl * n_k * nr, rl * n_k * rr)
-
-
 # ---------------------------------------------------------------------------
 # block-core shifting
 
@@ -615,13 +518,20 @@ def tt_to_json(t: TTVector | TTOperator) -> dict:
 
 
 def tt_from_json(doc: dict) -> TTVector | TTOperator:
-    kind = doc["kind"]
+    try:
+        kind = doc["kind"]
+        order = _integer(doc["order"], "order")
+        sizes = [_integer(n, "mode_sizes entry") for n in doc["mode_sizes"]]
+        ranks = [_integer(r, "ranks entry") for r in doc["ranks"]]
+        n_cores = len(doc["cores"])
+    except TypeError as exc:  # a list, number or null where the format has another type
+        raise ValueError(f"malformed train document: {exc}") from exc
     if kind not in ("tt-vector", "tt-operator"):
         raise ValueError(f"unknown kind {kind!r}")
-    sizes = _as_tuple(doc["mode_sizes"])
-    ranks = _as_tuple(doc["ranks"])
-    if not int(doc["order"]) == len(sizes) == len(ranks) - 1 == len(doc["cores"]):
+    if not order == len(sizes) == len(ranks) - 1 == n_cores:
         raise ValueError("order, mode sizes, ranks and cores do not agree")
+    if min(sizes + ranks) < 1:  # reshape would read a -1 as "infer this size"
+        raise ValueError("mode sizes and ranks must be positive")
     shapes = _core_shapes(kind, sizes, ranks)
     cores = [
         np.asarray(flat, dtype=np.float64).reshape(shape)

@@ -437,11 +437,13 @@ def test_bench_warning_keyed_on_m(tmp_path, flag, warned, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag", [
     ["--m-range", "3:2"], ["--n-range", "5:3"], ["--n-range", "3:5:0"], ["--n-range", "5:3:-1"],
+    ["--n-range", "3:3:1:9"], ["--m-range", "3"], ["--m-range", "2:2:5"],
 ])
-def test_bench_empty_or_reversed_range_exits_2(tmp_path, flag):
+def test_bench_empty_or_reversed_range_exits_2(tmp_path, capsys, flag):
     out = tmp_path / "bench.csv"
     assert main(["bench", *flag, "--n", "3", "--m", "2", "--out", str(out)]) == 2
     assert not out.exists()
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_compare_negative_wanted_or_tol_exits_2(tmp_path):

@@ -24,7 +24,8 @@ from ttmep.mep_problem import (
     generate_random_mep,
     oracle_eigenvalues,
 )
-from ttmep.tt_core import densify_operator, tt_round_operator
+
+from tt_helpers import densify_operator, tt_round_operator
 
 
 def factor_product(a: np.ndarray) -> float:

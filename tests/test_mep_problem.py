@@ -383,7 +383,7 @@ def test_left_tuple_symmetric_problem():
         b=[[mats[2] + 8 * np.eye(4), mats[3]], [mats[3], mats[4] + 8 * np.eye(4)]],
     )
     d0 = build_delta0(prob, round_tol=None)
-    from ttmep.tt_core import densify_operator
+    from tt_helpers import densify_operator
     from ttmep.dense_kernels import generalized_eig
     from ttmep.delta_builder import build_delta_i
 
@@ -392,7 +392,7 @@ def test_left_tuple_symmetric_problem():
     res = generalized_eig(dm, d0d)
     # take a real finite eigenvalue, build the tuple from rank-one structure
     i = int(np.argmin(np.abs(res.eigenvalues)))
-    vec = res.right[:, i].reshape(4, 4)
+    vec = res.vector(i).reshape(4, 4)
     u, s, vh = np.linalg.svd(vec)
     x1, x2 = u[:, 0], vh[0]
     lam = tensor_rayleigh_quotient(prob, [x1, x2])

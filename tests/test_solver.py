@@ -35,14 +35,13 @@ from ttmep.tt_core import (
     FrameEnvCache,
     TTOperator,
     TTVector,
-    densify,
-    densify_frame,
-    densify_operator,
     env_apply,
     env_left_step,
     env_right_step,
     rank_one_bilinear,
 )
+
+from tt_helpers import densify, densify_frame, densify_operator
 
 
 def planted_state(g: GeneratedProblem, tuple_index: int, config: SolverConfig):

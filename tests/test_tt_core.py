@@ -17,35 +17,35 @@ from ttmep.tt_core import (
     _truncation_rank,
     absorb_transfer_left,
     absorb_transfer_right,
-    densify,
-    densify_frame,
-    densify_operator,
-    evaluate_operator,
     env_apply,
     env_left_step,
     env_right_step,
     frame_project,
-    random_tt,
     rank_one_bilinear,
     shift_block_core,
     svd_split,
     tt_from_json,
     tt_matvec,
-    tt_round,
-    tt_round_operator,
     tt_to_json,
 )
 
 from tt_helpers import (
     block_columns_dense,
+    densify,
+    densify_frame,
+    densify_operator,
     evaluate,
+    evaluate_operator,
     identity_operator,
     is_left_orthonormal,
     is_right_orthonormal,
     left_orthonormalize_core,
     orthonormal_block,
     random_operator,
+    random_tt,
     right_orthonormalize_core,
+    tt_round,
+    tt_round_operator,
 )
 
 
@@ -775,6 +775,13 @@ def test_json_rejects_inconsistent_documents():
         {**doc, "cores": doc["cores"] + [doc["cores"][0]]},  # an extra core
         {**doc, "order": 7},
         {**doc, "ranks": [1, 1]},  # short ranks list
+        {**doc, "order": 3.5},  # counts are integers, not truncated
+        {**doc, "mode_sizes": [2, 2.5, 2]},
+        {**doc, "ranks": [1, 1.5, 1, 1]},
+        {**doc, "order": None},
+        {**doc, "ranks": [1, -1, 1, 1]},  # reshape would infer the -1
+        {**doc, "cores": 5},
+        [doc],  # a list in place of the document
     ]
     for d in bad:
         with pytest.raises(ValueError):

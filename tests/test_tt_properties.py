@@ -11,16 +11,18 @@ from hypothesis.extra.numpy import arrays
 from ttmep.tt_core import (
     TTOperator,
     TTVector,
-    densify,
-    densify_frame,
-    random_tt,
     shift_block_core,
     tt_from_json,
-    tt_round,
     tt_to_json,
 )
 
-from tt_helpers import orthonormal_block
+from tt_helpers import (
+    densify,
+    densify_frame,
+    orthonormal_block,
+    random_tt,
+    tt_round,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
