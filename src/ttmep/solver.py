@@ -366,6 +366,18 @@ def make_state(
     return SweepState(prob=prob, config=config, cores=cores, k=0, envs=envs, rng=rng)
 
 
+def ritz_pairs(pm: np.ndarray, p0: np.ndarray, count: int, rule: str):
+    """Ritz pairs of the pencil (pm, p0), factored in place: returns a generator
+    of ``select_ritz``'s (mu, unit vector) pairs, each vector built when drawn
+    (after the caller has dropped the pencil), and ``select_ritz``'s ``padded``."""
+    geig = generalized_eig(pm, p0, overwrite=True)
+    indices, padded = select_ritz(geig, count, rule)
+    vectors = ((i, geig.vector(i)) for i in indices)
+    # vector(i) is unit already; dividing again moves the last bits, and the
+    # solve's trajectory depends on them
+    return ((geig.eigenvalues[i], v / np.linalg.norm(v)) for i, v in vectors), padded
+
+
 def sweep_step(state: SweepState, direction: int) -> StepRecord:
     """One mode update: project, solve, select, write block, shift."""
     cores, k, config = state.cores, state.k, state.config
@@ -382,18 +394,13 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
     t_proj = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    q = len(state.found)
-    geig = generalized_eig(pm, p0, overwrite=True)
-    del pm, p0  # factored in place; only the Schur forms are left in them
-    indices, padded = select_ritz(geig, 2 * b + q, config.ritz_rule)
+    pairs, padded = ritz_pairs(pm, p0, 2 * b + len(state.found), config.ritz_rule)
+    del pm, p0  # factored in place; the vectors are built only after this
     t_eig = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    candidates = []
-    for i in indices:
-        vec = geig.vector(i)
-        coeff = (vec / np.linalg.norm(vec)).reshape(rl, n_k, rr)
-        candidates.append(check_convergence(state, geig.eigenvalues[i], coeff, direction))
+    candidates = [check_convergence(state, mu, v.reshape(rl, n_k, rr), direction)
+                  for mu, v in pairs]
     columns, selected = select_eigenpairs(state, candidates)
     t_sel = time.perf_counter() - t0
 
@@ -413,7 +420,7 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
         mode=k + 1,
         direction=direction,
         projected_size=dim,
-        n_candidates=len(indices),
+        n_candidates=len(candidates),
         n_selected=len(selected),
         n_converged_new=sum(c.admitted for c in candidates),
         wall_ms=1e3 * (time.perf_counter() - t_start),

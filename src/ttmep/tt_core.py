@@ -181,21 +181,13 @@ def _positive_qr(mat: np.ndarray, overwrite_a: bool = False):
 
 
 def absorb_transfer_right(cores: list, k: int, transfer: np.ndarray) -> None:
-    """Multiply transfer into ``cores[k+1]`` from the left (3D or 4D block core)."""
-    g = cores[k + 1]
-    if g.ndim == 3:
-        cores[k + 1] = np.einsum("xa,aib->xib", transfer, g)
-    else:
-        cores[k + 1] = np.einsum("xa,aibc->xibc", transfer, g)
+    """Multiply transfer into the 3D core ``cores[k+1]`` from the left."""
+    cores[k + 1] = np.einsum("xa,aib->xib", transfer, cores[k + 1])
 
 
 def absorb_transfer_left(cores: list, k: int, transfer: np.ndarray) -> None:
-    """Multiply transfer into ``cores[k-1]`` from the right."""
-    g = cores[k - 1]
-    if g.ndim == 3:
-        cores[k - 1] = np.einsum("aib,bx->aix", g, transfer)
-    else:
-        cores[k - 1] = np.einsum("aibc,cx->aibx", g, transfer)
+    """Multiply transfer into the 3D core ``cores[k-1]`` from the right."""
+    cores[k - 1] = np.einsum("aib,bx->aix", cores[k - 1], transfer)
 
 
 # ---------------------------------------------------------------------------

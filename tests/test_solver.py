@@ -6,7 +6,14 @@ import inspect
 import numpy as np
 import pytest
 
+from ttmep import solver as solver_module
 from ttmep.delta_builder import apply_shift, build_delta0, build_delta_i
+from ttmep.dense_kernels import (
+    RITZ_RULES,
+    GeneralizedEigenResult,
+    generalized_eig,
+    select_ritz,
+)
 from ttmep.mep_problem import (
     GeneratedProblem,
     MEProblem,
@@ -27,6 +34,7 @@ from ttmep.solver import (
     init_iterate,
     make_state,
     rank_one_factor,
+    ritz_pairs,
     select_eigenpairs,
     solve,
     sweep_step,
@@ -397,6 +405,98 @@ def test_selection_complex_pair_consumes_two_columns():
     # b=2 would not fit the pair plus the real candidate: pair wins, then pad
     cols2, selected2 = select_eigenpairs(_selection_state(rng, 2), [pair, twin, real_c])
     assert len(selected2) == 1 and selected2[0] is pair
+
+
+# ---------------------------------------------------------------------------
+# projected eigensolve
+
+
+def _ritz_pencils():
+    """Fixed real pencils and counts: complex-conjugate pairs, an infinite
+    eigenvalue, and a spectrum that starves the positive-real rule."""
+    rng = np.random.default_rng(11)
+    singular = rng.standard_normal((10, 10))
+    singular[:, -1] = 0.0
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    z, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    starved = np.diag([-1.0, -2.0, -3.0, -4.0, 5.0, -6.0])
+    return {
+        "complex-pairs": (rng.standard_normal((12, 12)), rng.standard_normal((12, 12)), 6),
+        "infinite": (rng.standard_normal((10, 10)), singular, 10),
+        "starved": (u @ starved @ z, u @ z, 3),
+    }
+
+
+def _spelled_out_ritz(pm, p0, count, rule):
+    """generalized_eig, select_ritz, vector(i) and one more division."""
+    geig = generalized_eig(pm, p0, overwrite=True)
+    indices, padded = select_ritz(geig, count, rule)
+    pairs = []
+    for i in indices:
+        vec = geig.vector(i)
+        pairs.append((geig.eigenvalues[i], vec / np.linalg.norm(vec)))
+    return pairs, padded, geig.finite
+
+
+@pytest.mark.parametrize("case", ["complex-pairs", "infinite", "starved"])
+def test_ritz_pairs_equal_the_spelled_out_eigensolve(case):
+    m, n, count = _ritz_pencils()[case]
+    want, want_padded, finite = _spelled_out_ritz(
+        np.asfortranarray(m), np.asfortranarray(n), count, RITZ_RULES[0]
+    )
+    pairs, padded = ritz_pairs(np.asfortranarray(m), np.asfortranarray(n), count, RITZ_RULES[0])
+    got = list(pairs)
+    assert padded == want_padded
+    assert [mu for mu, _ in got] == [mu for mu, _ in want]
+    for (_, v), (_, w) in zip(got, want):
+        assert v.dtype == w.dtype and v.tobytes() == w.tobytes()
+    assert all(np.isfinite(mu) for mu, _ in got)
+    if case == "complex-pairs":
+        assert any(mu.imag != 0 for mu, _ in got)
+    if case == "infinite":
+        assert not finite.all() and len(got) == np.count_nonzero(finite) < count
+    if case == "starved":
+        assert padded and len(got) == count
+
+
+def test_ritz_pairs_build_each_vector_when_drawn(monkeypatch):
+    built = []
+    vector = GeneralizedEigenResult.vector
+
+    def counted(self, i):
+        built.append(i)
+        return vector(self, i)
+
+    monkeypatch.setattr(GeneralizedEigenResult, "vector", counted)
+    m, n, count = _ritz_pencils()["complex-pairs"]
+    pairs, _ = ritz_pairs(np.asfortranarray(m), np.asfortranarray(n), count, RITZ_RULES[0])
+    assert built == []
+    next(pairs)
+    assert len(built) == 1
+
+
+def test_sweep_step_calls_its_kernels_through_the_solver_namespace(monkeypatch):
+    # perfbench times the layers by wrapping the names ttmep.solver resolves
+    calls = dict.fromkeys(("generalized_eig", "select_ritz", "check_convergence"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(solver_module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    g = generate_random_mep(3, 3, seed=16)
+    work, _, _ = shifted_positive(g)
+    delta_m = build_delta_i(work, 3, round_tol=None)
+    delta_0 = build_delta0(work, round_tol=None)
+    state = make_state(work, delta_m, delta_0, SolverConfig(block_size=2, seed=3))
+    rec = sweep_step(state, +1)
+    assert rec.n_candidates > 0
+    assert calls == {
+        "generalized_eig": 1,
+        "select_ritz": 1,
+        "check_convergence": rec.n_candidates,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from ttmep.tt_core import (
 )
 
 from tt_helpers import (
+    absorb_left,
     block_columns_dense,
     densify,
     densify_frame,
@@ -736,7 +737,7 @@ def test_shift_column_space_preserved_for_converged_columns():
     cores = [block_core, g2, g3]
     for k in (2, 1):
         l = right_orthonormalize_core(cores, k)
-        absorb_transfer_left(cores, k, l)
+        absorb_left(cores, k, l)
     before = block_columns_dense(cores, 0)
     k = shift_block_core(cores, 0, +1, target_rank=2, enrichment=0)
     after = block_columns_dense(cores, k)

@@ -2,9 +2,9 @@
 train or an operator, dense vectors, operators and frames, each refused
 above ``DENSE_CAP`` entries), random trains and operators, rounding of a
 whole train through the package's ``_round_cores``, one-core
-orthonormalization and its checks, orthonormal block frames, and dense
-block columns. The solver never calls them, so they live beside the
-tests."""
+orthonormalization and its checks, transfers absorbed into a 3D or a 4D
+block core, orthonormal block frames, and dense block columns. The
+solver never calls them, so they live beside the tests."""
 
 from __future__ import annotations
 
@@ -169,6 +169,22 @@ def right_orthonormalize_core(cores: list, k: int) -> np.ndarray:
     return r.T
 
 
+def absorb_right(cores: list, k: int, transfer: np.ndarray) -> None:
+    """``absorb_transfer_right`` that also takes a 4D block core at k+1."""
+    if cores[k + 1].ndim == 3:
+        absorb_transfer_right(cores, k, transfer)
+    else:
+        cores[k + 1] = np.einsum("xa,aibc->xibc", transfer, cores[k + 1])
+
+
+def absorb_left(cores: list, k: int, transfer: np.ndarray) -> None:
+    """``absorb_transfer_left`` that also takes a 4D block core at k-1."""
+    if cores[k - 1].ndim == 3:
+        absorb_transfer_left(cores, k, transfer)
+    else:
+        cores[k - 1] = np.einsum("aibc,cx->aibx", cores[k - 1], transfer)
+
+
 def is_left_orthonormal(core: np.ndarray, tol: float = 1e-12) -> bool:
     r0, n, r1 = core.shape
     m = core.reshape(r0 * n, r1)
@@ -218,8 +234,8 @@ def orthonormal_block(rng, sizes, b, ranks, index=None):
             cores.append(rng.standard_normal((full[k], n, full[k + 1])))
     for k in range(index):
         r = left_orthonormalize_core(cores, k)
-        absorb_transfer_right(cores, k, r)
+        absorb_right(cores, k, r)
     for k in range(m - 1, index, -1):
         l = right_orthonormalize_core(cores, k)
-        absorb_transfer_left(cores, k, l)
+        absorb_left(cores, k, l)
     return cores, index
