@@ -203,10 +203,14 @@ def cmd_compare(args) -> int:
         found = [complex(t["lambda"][-1][0], t["lambda"][-1][1]) for t in report["tuples"]]
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed report: {exc}") from exc
-    oracle_rows = []
     with open(args.oracle, newline="") as fh:
-        for row in csv.DictReader(fh):
-            oracle_rows.append(complex(float(row["lambda_m_real"]), float(row["lambda_m_imag"])))
+        reader = csv.DictReader(fh)
+        if not {"lambda_m_real", "lambda_m_imag"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"oracle table {args.oracle} lacks the lambda_m_real/_imag columns")
+        try:
+            oracle_rows = [complex(float(r["lambda_m_real"]), float(r["lambda_m_imag"])) for r in reader]
+        except (TypeError, ValueError) as exc:  # a short row reads None
+            raise ValueError(f"oracle table {args.oracle}: bad lambda_m value ({exc})") from None
     wanted = oracle_rows[: args.wanted]
     tol = args.tol
     matched_flags = []
@@ -319,7 +323,7 @@ def main(argv=None) -> int:
     except (LinAlgError, ArithmeticError) as exc:  # LinAlgError is a ValueError: test it first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

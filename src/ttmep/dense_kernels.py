@@ -148,20 +148,16 @@ def select_ritz(
         raise ValueError(f"unknown rule {rule!r}")
     lam = result.eigenvalues
     finite = np.nonzero(result.finite)[0]
+    part = np.real if rule == RITZ_RULES[0] else np.imag
+    eligible = part(lam[finite]) > 0
 
     def sort_key(i):
         return (abs(lam[i]), lam[i].real, lam[i].imag)
 
-    part = np.real if rule == RITZ_RULES[0] else np.imag
-    eligible = sorted((i for i in finite if part(lam[i]) > 0), key=sort_key)
-    chosen = eligible[:count]
-    padded = False
-    if len(chosen) < count:
-        taken = set(chosen)
-        rest = sorted((i for i in finite if i not in taken), key=sort_key)
-        chosen = chosen + rest[: count - len(chosen)]
-        padded = True
-    return chosen, padded
+    chosen = sorted(finite[eligible], key=sort_key)
+    if len(chosen) >= count:
+        return chosen[:count], False
+    return (chosen + sorted(finite[~eligible], key=sort_key))[:count], True
 
 
 def principal_cosine(u: np.ndarray, v: np.ndarray) -> float:

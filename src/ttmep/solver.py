@@ -280,13 +280,6 @@ def check_convergence(
 # selection
 
 
-def _is_effectively_real(vec: np.ndarray) -> bool:
-    if not np.iscomplexobj(vec):
-        return True
-    scale = np.max(np.abs(vec))
-    return scale == 0 or np.max(np.abs(vec.imag)) <= 1e-13 * scale
-
-
 def select_eigenpairs(state: SweepState, candidates: list[_Candidate]):
     """Pick the block's columns at mode ``state.k`` from the processed Ritz candidates.
 
@@ -295,8 +288,10 @@ def select_eigenpairs(state: SweepState, candidates: list[_Candidate]):
     the config's threshold) come first, ordered by estimated residual; the
     remainder fill up by estimated residual, and random unit columns of the
     block core's local size, drawn from ``state.rng``, complete the block of
-    ``block_size`` columns. A complex pair occupies two columns (real and
-    imaginary part); its conjugate twin is consumed with it.
+    ``block_size`` columns. A vector with no imaginary part at all (``vector``
+    zeroes it for a real eigenvalue) takes one column, any other its real and
+    imaginary parts; that pair's twin, conjugate to 1e-12 relative since LAPACK
+    gives it its own beta, is consumed with it.
     """
     b, cos_threshold = state.config.block_size, state.config.cos_threshold
     priority = sorted(
@@ -311,23 +306,18 @@ def select_eigenpairs(state: SweepState, candidates: list[_Candidate]):
     selected: list[_Candidate] = []
     consumed: set[int] = set()
     for c in priority:
-        if len(columns) >= b or id(c) in consumed:
-            continue
+        if len(columns) >= b:
+            break
         vec = c.coeff.reshape(-1)
-        if _is_effectively_real(vec):
-            columns.append(np.real(vec))
-            selected.append(c)
-        else:
-            if len(columns) + 2 > b:
-                continue
-            columns.append(np.real(vec))
-            columns.append(np.imag(vec))
-            selected.append(c)
-            for other in priority:
-                if other is not c and abs(other.mu - np.conj(c.mu)) <= 1e-12 * (
-                    1 + abs(c.mu)
-                ):
-                    consumed.add(id(other))
+        parts = (vec.real, vec.imag) if np.any(vec.imag) else (vec.real,)
+        if id(c) in consumed or len(columns) + len(parts) > b:
+            continue
+        columns.extend(parts)
+        selected.append(c)
+        if len(parts) == 2:
+            # the twin's own beta makes its mu conj(mu) only to the last bits
+            consumed.update(id(o) for o in priority
+                            if abs(o.mu - np.conj(c.mu)) <= 1e-12 * (1 + abs(c.mu)))
     rl, n_k, _, rr = state.cores[state.k].shape
     while len(columns) < b:
         vec = state.rng.standard_normal(rl * n_k * rr)
@@ -410,9 +400,7 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
         cores, k, direction, config.max_rank, enrichment=config.kick, rng=state.rng
     )
     state.envs.refresh_after_shift(cores, k, state.k)
-    state.estimates = [
-        c.transported_middle for c in selected if c.transported_middle is not None
-    ]
+    state.estimates = [c.transported_middle for c in selected]
     t_upd = time.perf_counter() - t0
 
     return StepRecord(

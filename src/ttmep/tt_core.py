@@ -24,6 +24,7 @@ JSON train format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +117,8 @@ def feasible_ranks(mode_sizes, ranks) -> tuple[int, ...]:
     if len(req) != m + 1:
         raise ValueError("rank profile must have m+1 (or m-1 interior) entries")
     out = [1] * (m + 1)
-    left = 1
     for k in range(1, m):
-        left = min(left * sizes[k - 1], 2**62)
-        right = int(np.prod(sizes[k:], dtype=np.int64))
-        out[k] = max(1, min(req[k], left, right))
+        out[k] = max(1, min(req[k], math.prod(sizes[:k]), math.prod(sizes[k:])))
     return tuple(out)
 
 

@@ -461,6 +461,44 @@ def test_compare_negative_wanted_or_tol_exits_2(tmp_path):
         assert main(["compare", str(report), str(oracle)]) == 2
 
 
+@pytest.mark.parametrize("oracle_text", [
+    "a,b\n1,2\n",
+    "",
+    "rank_index,lambda_m_real,lambda_m_imag\n0,1.0\n",
+], ids=["no-lambda-m-columns", "empty-file", "short-row"])
+def test_compare_rejects_a_bad_oracle_table(tmp_path, capsys, oracle_text):
+    report = tmp_path / "run.json"
+    report.write_text(json.dumps({"tuples": [{"lambda": [[0.0, 0.0], [1.0, 0.0]]}]}))
+    oracle = tmp_path / "oracle.csv"
+    oracle.write_text(oracle_text)
+    assert main(["compare", str(report), str(oracle)]) == 2
+    assert f"oracle table {oracle}" in capsys.readouterr().err
+
+
+def test_compare_accepts_a_header_only_oracle_table(tmp_path, capsys):
+    # oracle writes only the header when every system is singular
+    report = tmp_path / "run.json"
+    report.write_text(json.dumps({"tuples": [{"lambda": [[0.0, 0.0], [1.0, 0.0]]}]}))
+    oracle = tmp_path / "oracle.csv"
+    oracle.write_text("rank_index,lambda_m_real,lambda_m_imag,residual\n")
+    assert main(["compare", str(report), str(oracle)]) == 0
+    assert json.loads(capsys.readouterr().out)["wanted_considered"] == 0
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "oracle", "compare"])
+def test_a_directory_for_a_file_exits_2(tmp_path, small_problem, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "generate": ["generate", "--m", "2", "--n", "3", "--out", str(folder)],
+        "solve": ["solve", str(folder), "--out", str(tmp_path / "run")],
+        "oracle": ["oracle", str(folder), "--out", str(tmp_path / "oracle.csv")],
+        "compare": ["compare", str(folder), str(small_problem)],
+    }[command]
+    assert main(argv) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def _malformed_problem_documents() -> dict:
     base = problem_to_json(generate_random_mep(2, 3, seed=0))
 

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 from ttmep.dense_kernels import (
     BETA_FLOOR,
+    RITZ_RULES,
     GeneralizedEigenResult,
     SingularPencilError,
     _frobenius,
@@ -196,6 +197,70 @@ def test_select_ritz_skips_infinite():
     )
     picked, _ = select_ritz(res, 3)
     assert 0 not in picked
+
+
+def _two_pass_select_ritz(result, count, rule):
+    """The selection rule in two passes: the eligible values sorted, then, to
+    pad, a second scan over every finite index not yet taken."""
+    lam = result.eigenvalues
+    finite = np.nonzero(result.finite)[0]
+
+    def sort_key(i):
+        return (abs(lam[i]), lam[i].real, lam[i].imag)
+
+    part = np.real if rule == RITZ_RULES[0] else np.imag
+    eligible = sorted((i for i in finite if part(lam[i]) > 0), key=sort_key)
+    chosen = eligible[:count]
+    padded = False
+    if len(chosen) < count:
+        taken = set(chosen)
+        rest = sorted((i for i in finite if i not in taken), key=sort_key)
+        chosen = chosen + rest[: count - len(chosen)]
+        padded = True
+    return chosen, padded
+
+
+@pytest.mark.parametrize("rule", RITZ_RULES)
+def test_select_ritz_equals_the_two_pass_reference(rule):
+    rng = np.random.default_rng(21)
+    part = np.real if rule == RITZ_RULES[0] else np.imag
+    seen_padded = set()
+    for _ in range(200):
+        # an integer grid gives equal moduli (1+2j, 2-1j) and repeated values
+        half = rng.integers(-3, 4, size=(rng.integers(1, 8), 2)) @ np.array([1, 1j])
+        real = rng.integers(-3, 4, size=rng.integers(0, 5))
+        lam = np.concatenate([half, np.conj(half), real]).astype(complex)
+        rng.shuffle(lam)
+        finite = rng.random(lam.size) > 0.2
+        lam[~finite] = complex(np.inf)
+        res = GeneralizedEigenResult(
+            eigenvalues=lam, finite=finite, lapack_right=np.eye(lam.size)
+        )
+        n_eligible = int(np.count_nonzero(part(lam[finite]) > 0))
+        for count in (max(n_eligible - 1, 0), n_eligible, n_eligible + 1, lam.size + 1):
+            got = select_ritz(res, count, rule)
+            assert got == _two_pass_select_ritz(res, count, rule)
+            seen_padded.add(got[1])
+    assert seen_padded == {False, True}
+
+
+def test_real_pencil_vector_is_real_exactly_for_a_real_eigenvalue():
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for trial in range(30):
+        d = int(rng.integers(5, 60))
+        m = rng.standard_normal((d, d))
+        n = rng.standard_normal((d, d))
+        if trial % 3 == 0:  # symmetric positive definite N
+            n = n @ n.T + d * np.eye(d)
+        if trial % 6 == 0:  # and symmetric M: a real spectrum
+            m = m + m.T
+        res = generalized_eig(m, n)
+        for i in np.nonzero(res.finite)[0]:
+            real = res.eigenvalues[i].imag == 0
+            assert (not np.any(res.vector(i).imag)) == real
+            kinds.add(real)
+    assert kinds == {False, True}
 
 
 def test_principal_cosine_basics():

@@ -407,6 +407,31 @@ def test_selection_complex_pair_consumes_two_columns():
     assert len(selected2) == 1 and selected2[0] is pair
 
 
+def test_selection_consumes_a_twin_conjugate_only_to_the_last_bits():
+    # LAPACK's twin has its own beta, so its mu misses conj(mu) in the last bits
+    rng = np.random.default_rng(16)
+    v = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+    mid = rng.standard_normal(3)
+    mu = 0.7 + 1.3j
+    pair = _mk_candidate(mu, v, mid, est=0.0)
+    twin = _mk_candidate(np.conj(mu) * (1 + 4e-16), np.conj(v), mid, est=0.5)
+    real_c = _mk_candidate(1.5, rng.standard_normal((2, 3, 2)), mid, est=1.0)
+    assert twin.mu != np.conj(mu)
+    _, selected = select_eigenpairs(_selection_state(rng, 4), [pair, twin, real_c])
+    assert selected == [pair, real_c]
+
+
+def test_selection_takes_one_column_for_an_exactly_zero_imaginary_part():
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal((2, 3, 2)).astype(complex)
+    mid = rng.standard_normal(3)
+    c = _mk_candidate(0.5 + 0j, v, mid, est=0.0)
+    other = _mk_candidate(0.9, rng.standard_normal((2, 3, 2)), mid, est=1.0)
+    cols, selected = select_eigenpairs(_selection_state(rng, 2), [c, other])
+    assert selected == [c, other]
+    assert np.array_equal(cols[:, 0], v.reshape(-1).real)
+
+
 # ---------------------------------------------------------------------------
 # projected eigensolve
 

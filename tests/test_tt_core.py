@@ -20,6 +20,7 @@ from ttmep.tt_core import (
     env_apply,
     env_left_step,
     env_right_step,
+    feasible_ranks,
     frame_project,
     rank_one_bilinear,
     shift_block_core,
@@ -206,6 +207,13 @@ def test_orthonormalize_block_core_forbidden():
 
 # ---------------------------------------------------------------------------
 # rounding
+
+
+def test_feasible_ranks_size_the_unfoldings_exactly():
+    # the unfolding sizes pass 2**63 here, where int64 products wrap
+    assert feasible_ranks([10] * 21, [5] * 20) == (1,) + (5,) * 20 + (1,)
+    assert feasible_ranks([2] * 70, [5] * 69) == (1, 2, 4) + (5,) * 65 + (4, 2, 1)
+    assert feasible_ranks([3, 4, 2], [20, 20]) == (1, 3, 2, 1)
 
 
 def test_round_recovers_minimal_ranks():
