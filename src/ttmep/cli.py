@@ -200,8 +200,10 @@ def cmd_compare(args) -> int:
         raise ValueError("--wanted must be non-negative and --tol non-negative and finite")
     report = json.loads(Path(args.report).read_text())
     try:
+        if not isinstance(report["tuples"], list):
+            raise TypeError("tuples is not a list")
         found = [complex(t["lambda"][-1][0], t["lambda"][-1][1]) for t in report["tuples"]]
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError) as exc:
         raise ValueError(f"malformed report: {exc}") from exc
     with open(args.oracle, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -126,13 +127,13 @@ class SweepState:
 
 @dataclass
 class _Candidate:
-    """One Ritz pair and what its walk found."""
+    """One Ritz pair and what its walk found, recorded at the walk's first hop."""
 
     mu: complex
     coeff: np.ndarray  # (r_left, n_k, r_right), unit norm
     middle: np.ndarray  # rank-one middle factor at the block mode
     est_residual: float  # projected residual after the first hop
-    transported_middle: np.ndarray | None
+    first_hop: np.ndarray  # unit coefficient tensor at the first hop's mode
     outcome: str = "aborted"  # one of WALK_OUTCOMES
 
     @property
@@ -227,30 +228,26 @@ def check_convergence(
 
     Hops proceed in ``direction`` until the boundary, then restart from the
     block mode in the reverse direction. Any projected residual at or above
-    eps1 aborts the walk. With estimates for every mode collected, the
-    tuple (one factor per mode) is refined by Rayleigh quotient iteration,
-    tested against the full residual tolerance eps, dropped unless among the
-    ``4 * block_size`` closest to the target, screened for duplicates at xi,
-    and inserted into the found list. Returns the pair's candidate record;
-    its ``outcome`` names the test that ended the walk (``WALK_OUTCOMES``).
+    eps1 aborts the walk. Once the walk completes, the tuple (the block
+    mode's middle factor and the rank-one factor of each hop's coefficient)
+    is refined by Rayleigh quotient iteration, tested against the full
+    residual tolerance eps, dropped unless among the ``4 * block_size``
+    closest to the target, screened for duplicates at xi, and inserted into
+    the found list. Returns the pair's candidate record, built at the first
+    hop; its ``outcome`` names the test that ended the walk (``WALK_OUTCOMES``).
     """
-    prob, config, delta_0 = state.prob, state.config, state.envs.ops[1]
-    cores, k = state.cores, state.k
-    unit = np.asarray(coeff)
-    unit = unit / np.linalg.norm(unit)
-    middle = rank_one_factor(unit)
-    estimates = {k: middle}
-    cand = _Candidate(mu, coeff, middle, np.inf, None)
-    for phase_dir in (direction, -direction):
-        for pos, v, res in _walk(cores, state.envs, k, unit, phase_dir, mu):
-            if cand.transported_middle is None:
-                cand.est_residual = res
-                cand.transported_middle = estimates[pos] = rank_one_factor(v)
-            elif res < config.eps1:
-                estimates[pos] = rank_one_factor(v)
-            if res >= config.eps1:
-                return cand
-    vectors = [estimates[p] for p in range(len(cores))]
+    prob, config, delta_0, k = state.prob, state.config, state.envs.ops[1], state.k
+    unit = np.asarray(coeff) / np.linalg.norm(coeff)
+    hops = chain(_walk(state.cores, state.envs, k, unit, direction, mu),
+                 _walk(state.cores, state.envs, k, unit, -direction, mu))
+    first = next(hops)  # make_state refuses m < 2, so every walk hops
+    cand = _Candidate(mu, coeff, rank_one_factor(unit), est_residual=first[2], first_hop=first[1])
+    kept = {}  # mode -> unit coefficient of each passing hop
+    for pos, v, res in chain([first], hops):
+        if res >= config.eps1:
+            return cand
+        kept[pos] = v
+    vectors = [cand.middle if p == k else rank_one_factor(kept[p]) for p in range(prob.m)]
     cand.outcome = "trqi_failed"
     try:
         lam = tensor_rayleigh_quotient(prob, vectors)
@@ -350,6 +347,8 @@ def make_state(
     delta_0: TTOperator,
     config: SolverConfig,
 ) -> SweepState:
+    if prob.m < 2:
+        raise ValueError(f"the sweep solver needs m >= 2 parameters, got {prob.m}")
     rng = np.random.default_rng(config.seed)
     cores = init_iterate(prob.sizes, config, rng)
     envs = FrameEnvCache((delta_m, delta_0), cores, 0)
@@ -400,7 +399,7 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
         cores, k, direction, config.max_rank, enrichment=config.kick, rng=state.rng
     )
     state.envs.refresh_after_shift(cores, k, state.k)
-    state.estimates = [c.transported_middle for c in selected]
+    state.estimates = [rank_one_factor(c.first_hop) for c in selected]
     t_upd = time.perf_counter() - t0
 
     return StepRecord(

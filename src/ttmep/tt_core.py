@@ -25,6 +25,7 @@ JSON train format.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ def _as_tuple(xs) -> tuple[int, ...]:
 
 
 def _integer(value, name: str) -> int:
-    if not float(value).is_integer():  # a fraction, infinity or NaN
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # bool subclasses int
+    if not (real and float(value).is_integer()):  # a fraction, infinity or NaN
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -461,6 +461,20 @@ def test_compare_negative_wanted_or_tol_exits_2(tmp_path):
         assert main(["compare", str(report), str(oracle)]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"tuples": {}},
+    {"tuples": ""},
+    {"tuples": [{"lambda": {"re": 1.0, "im": 0.0}}]},
+], ids=["tuples-object", "tuples-string", "lambda-object"])
+def test_compare_rejects_a_report_without_a_tuples_list(tmp_path, capsys, doc):
+    report = tmp_path / "run.json"
+    report.write_text(json.dumps(doc))
+    oracle = tmp_path / "oracle.csv"
+    oracle.write_text("rank_index,lambda_m_real,lambda_m_imag\n0,1.0,0.0\n")
+    assert main(["compare", str(report), str(oracle)]) == 2
+    assert "invalid input: malformed report" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("oracle_text", [
     "a,b\n1,2\n",
     "",
@@ -547,6 +561,10 @@ def _malformed_problem_documents() -> dict:
         "sizes-fraction": {**copy(), "sizes": [3.5, 3]},
         "m-fraction": {**copy(), "m": 2.7},
         "m-infinite": {**copy(), "m": float("inf")},
+        "m-string": {**copy(), "m": "2"},
+        "m-bool": {**copy(), "m": True},
+        "sizes-string": {**copy(), "sizes": "33"},
+        "generator-seed-string": {**copy(), "generator": {**base["generator"], "seed": "0"}},
         "generator-unequal-sizes": unequal,
     }
 
@@ -561,6 +579,10 @@ NAMED_PART = {
     "sizes-fraction": "sizes entry must be an integer",
     "m-fraction": "m must be an integer",
     "m-infinite": "m must be an integer",
+    "m-string": "m must be an integer",
+    "m-bool": "m must be an integer",
+    "sizes-string": "sizes entry must be an integer",
+    "generator-seed-string": "generator seed must be an integer",
     "generator-unequal-sizes": "generator needs equal mode sizes",
     "generator-seed-negative": "generator seed must be non-negative",
 }

@@ -581,6 +581,22 @@ def test_problem_json_detects_tampering(tmp_path):
         problem_from_json(doc)
 
 
+def test_problem_json_counts_must_be_numbers():
+    doc = problem_to_json(generate_random_mep(2, 3, seed=29))
+    bad = [
+        ({**doc, "m": "2"}, "m"),
+        ({**doc, "m": True}, "m"),
+        ({**doc, "sizes": "33"}, "sizes entry"),  # would read as [3, 3]
+        ({**doc, "generator": {**doc["generator"], "seed": "0"}}, "generator seed"),
+    ]
+    for d, name in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            problem_from_json(d)
+    # numpy integers are numbers too
+    np_doc = {**doc, "m": np.int64(2), "sizes": [np.int64(3)] * 2}
+    assert problem_to_json(problem_from_json(np_doc)) == problem_to_json(problem_from_json(doc))
+
+
 def test_problem_rejects_an_empty_problem_and_non_matrices():
     g = generate_random_mep(2, 3, seed=28)
     with pytest.raises(ValueError, match="at least one equation"):

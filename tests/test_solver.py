@@ -301,10 +301,12 @@ def test_check_convergence_aborts_on_large_projected_residual():
     assert not walk.converged and not walk.admitted and walk.outcome == "aborted"
     assert walk.est_residual >= config.eps1
     assert state.found == []
-    # the first hop's unit rank-one factor is kept for the next step's selection
+    # the first hop's unit coefficient is kept for the next step's selection
     n_next = state.cores[k + 1].shape[1]
-    assert walk.transported_middle.shape == (n_next,)
-    assert np.linalg.norm(walk.transported_middle) == pytest.approx(1.0)
+    assert walk.first_hop.shape[1] == n_next
+    assert np.linalg.norm(walk.first_hop) == pytest.approx(1.0)
+    assert rank_one_factor(walk.first_hop).shape == (n_next,)
+    assert np.linalg.norm(rank_one_factor(walk.first_hop)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +319,7 @@ def _mk_candidate(mu, coeff, middle, est, converged=False):
         coeff=coeff,
         middle=middle / np.linalg.norm(middle),
         est_residual=est,
-        transported_middle=middle,
+        first_hop=coeff / np.linalg.norm(coeff),
         outcome="duplicate" if converged else "aborted",
     )
 
@@ -582,6 +584,41 @@ def test_full_sweep_keeps_frames_orthonormal():
             assert rec.projected_size <= size_cap
             f = densify_frame(state.cores, state.k)
             assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-10
+
+
+def test_rank_one_factors_are_taken_only_where_read(monkeypatch):
+    # one factor per candidate for its block-mode middle, one per hop of a
+    # walk that reaches TRQI, and one per selected pair for the next step
+    g = generate_random_mep(3, 3, seed=0)
+    work, _, _ = shifted_positive(g)
+    state = make_state(work, build_delta_i(work, 3), build_delta0(work), SolverConfig(block_size=2))
+    calls = []
+
+    def counting(tensor):
+        calls.append(tensor.shape)
+        return rank_one_factor(tensor)
+
+    monkeypatch.setattr("ttmep.solver.rank_one_factor", counting)
+    records = []
+    for direction, modes in ((+1, range(2)), (-1, range(2, 0, -1))) * 2:
+        state.estimates.clear()
+        for mode in modes:
+            calls.clear()
+            rec = sweep_step(state, direction)
+            completed = rec.n_candidates - rec.outcomes["aborted"]
+            assert len(calls) == rec.n_candidates + completed * (work.m - 1) + rec.n_selected
+            records.append(rec)
+    # both kinds of walk end occur, so both terms are exercised
+    assert any(r.outcomes["aborted"] for r in records)
+    assert any(r.n_candidates > r.outcomes["aborted"] for r in records)
+
+
+def test_make_state_rejects_a_one_parameter_problem():
+    g = generate_random_mep(2, 3, seed=0)
+    one = MEProblem(a=g.problem.a[:1], b=[g.problem.b[0][:1]])
+    ops = build_delta_i(one, 1, round_tol=None), build_delta0(one, round_tol=None)
+    with pytest.raises(ValueError, match="m >= 2"):
+        make_state(one, *ops, SolverConfig(sweeps=1))
 
 
 # ---------------------------------------------------------------------------

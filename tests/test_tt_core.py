@@ -798,6 +798,22 @@ def test_json_rejects_inconsistent_documents():
     assert tt_from_json(doc).mode_sizes == (2, 2, 2)
 
 
+def test_json_counts_must_be_numbers():
+    rng = np.random.default_rng(29)
+    doc = tt_to_json(random_tt(rng, (2, 2, 2), (1, 1, 1, 1)))
+    bad = [
+        ({**doc, "order": "3"}, "order"),
+        ({**doc, "order": True}, "order"),
+        ({**doc, "mode_sizes": "222"}, "mode_sizes entry"),
+        ({**doc, "ranks": [1, "1", 1, 1]}, "ranks entry"),
+    ]
+    for d, name in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            tt_from_json(d)
+    np_doc = {**doc, "order": np.int64(3), "mode_sizes": [np.int64(2)] * 3}
+    assert tt_from_json(np_doc).mode_sizes == (2, 2, 2)
+
+
 def test_invalid_shapes_rejected():
     with pytest.raises(ValueError):
         TTVector([np.ones((2, 2, 1))])
