@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .delta_builder import apply_shift
 from .dense_kernels import RITZ_RULES
 from .mep_problem import (
     GeneratedProblem,
@@ -106,7 +105,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
 
 
-# multi-indices sampled by ``bench`` to place its exterior shift
+# multi-indices ``bench`` enumerates, or else samples, to place its exterior target
 SHIFT_SAMPLES = 20_000
 
 
@@ -238,15 +237,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _sampled_lambda_m_min(g, seed: int) -> float:
-    """Approximate min real lambda_m from ``SHIFT_SAMPLES`` random multi-indices.
-
-    Enough for choosing an exteriorizing shift when full enumeration (n^m
-    systems) is out of reach.
+def _lambda_m_min(g, seed: int) -> float:
+    """Min real lambda_m over every multi-index, or, when there are more than
+    ``SHIFT_SAMPLES``, over that many random ones: enough to place an
+    exteriorizing target when full enumeration (n^m systems) is out of reach.
     """
     m, n = g.m, g.n
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(min(SHIFT_SAMPLES, n**m), m))
+    if n**m <= SHIFT_SAMPLES:
+        idx = np.indices((n,) * m).reshape(m, -1).T
+    else:
+        idx = np.random.default_rng(seed).integers(0, n, size=(SHIFT_SAMPLES, m))
     lam, ok = index_eigenvalues(g, idx)
     return float(lam[ok, m - 1].real.min())
 
@@ -278,12 +278,12 @@ def cmd_bench(args) -> int:
     warnings = []
     for label, value, m, n in params:
         g = generate_random_mep(m, n, args.seed)
-        # shift so the searched lambda_m sit at positive values (exterior target)
-        shifted = apply_shift(g.problem, -_sampled_lambda_m_min(g, seed=args.seed) + 1.0)
+        # a target below every lambda_m is exterior
+        target = _lambda_m_min(g, seed=args.seed) - 1.0
         projection = {}
         for rounded, run_config in runs:
             t0 = time.perf_counter()
-            _tuples, report = solve(shifted, target=0.0, config=run_config)
+            _tuples, report = solve(g.problem, target=target, config=run_config)
             total = time.perf_counter() - t0
             phase_sums: dict[str, float] = {}
             for step_rec in report["steps"]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tt_core import CapExceededError, TTOperator, _integer, rank_one_bilinear
+from .tt_core import CapExceededError, TTOperator, _integer, _real_array, rank_one_bilinear
 
 ORACLE_CAP = 10_000_000
 # multi-indices solved per batch by oracle_eigenvalues
@@ -443,12 +443,14 @@ def problem_from_json(doc: dict) -> MEProblem | GeneratedProblem:
     try:
         m = _integer(doc["m"], "m")
         sizes = [_integer(s, "sizes entry") for s in doc["sizes"]]
-        a = [np.asarray(mat, dtype=float) for mat in doc["A"]]
-        b = [[np.asarray(mat, dtype=float) for mat in row] for row in doc["B"]]
+        a = [_real_array(mat, f"A_{i + 1}") for i, mat in enumerate(doc["A"])]
+        b = [[_real_array(mat, f"B_{i + 1}{j + 1}") for j, mat in enumerate(row)]
+             for i, row in enumerate(doc["B"])]
         gen = doc.get("generator")
         if gen is not None:
             seed = _integer(gen["seed"], "generator seed")
-            spectra = gen["a"], gen["b"]
+            spectra = (_real_array(gen["a"], "generator spectrum_a"),
+                       _real_array(gen["b"], "generator spectrum_b"))
     except TypeError as exc:  # a list, number or null where the format has another type
         raise ValueError(f"malformed problem document: {exc}") from exc
     prob = MEProblem(a=a, b=b)

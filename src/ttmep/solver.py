@@ -36,7 +36,6 @@ from .mep_problem import (
 )
 from .tt_core import (
     FrameEnvCache,
-    TTOperator,
     env_apply,
     feasible_ranks,
     frame_project,
@@ -341,18 +340,23 @@ def init_iterate(sizes, config: SolverConfig, rng: np.random.Generator) -> list[
     return cores
 
 
-def make_state(
-    prob: MEProblem,
-    delta_m: TTOperator,
-    delta_0: TTOperator,
-    config: SolverConfig,
-) -> SweepState:
+def make_state(prob: MEProblem, target: float, config: SolverConfig) -> SweepState:
+    """A solve's set-up: the problem shifted so the target sits at zero, its
+    pencil (Delta_m, Delta_0) at ``config.delta_round_tol`` and a random block
+    iterate. Raises ``ValueError`` for a non-finite target or m < 2, before
+    any operator is built."""
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     if prob.m < 2:
         raise ValueError(f"the sweep solver needs m >= 2 parameters, got {prob.m}")
+    work = apply_shift(prob, -target) if target != 0.0 else prob
+    # the smaller rounded operator, Delta_0, is the one held while the other is built
+    delta_0 = build_delta0(work, round_tol=config.delta_round_tol)
+    delta_m = build_delta_i(work, work.m, round_tol=config.delta_round_tol)
     rng = np.random.default_rng(config.seed)
-    cores = init_iterate(prob.sizes, config, rng)
+    cores = init_iterate(work.sizes, config, rng)
     envs = FrameEnvCache((delta_m, delta_0), cores, 0)
-    return SweepState(prob=prob, config=config, cores=cores, k=0, envs=envs, rng=rng)
+    return SweepState(prob=work, config=config, cores=cores, k=0, envs=envs, rng=rng)
 
 
 def ritz_pairs(pm: np.ndarray, p0: np.ndarray, count: int, rule: str):
@@ -430,25 +434,18 @@ def solve(
 ):
     """Find eigenvalue tuples with lambda_m closest to the target.
 
-    The problem is shifted so the target sits at zero, swept until the
-    sweep cap or until ``NO_PROGRESS_SWEEPS`` sweeps pass without a new
-    tuple, and the found lambda_m values are shifted back. At most the
+    ``make_state`` sets the solve up; the state is swept until the sweep
+    cap or until ``NO_PROGRESS_SWEEPS`` sweeps pass without a new tuple,
+    and the found lambda_m values are shifted back. At most the
     ``4 * block_size`` tuples nearest the target are kept. The report's
     ``stop_reason`` says which of the two ended the loop: ``"sweep_cap"``
     or ``"no_progress"``. Returns (tuples sorted by |lambda_m - target|,
-    report dict). Raises ``ValueError`` for a problem with m < 2.
+    report dict). Raises ``make_state``'s ``ValueError``s.
     """
     config = config or SolverConfig()
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
-    if prob.m < 2:
-        raise ValueError(f"the sweep solver needs m >= 2 parameters, got {prob.m}")
-    work = apply_shift(prob, -target) if target != 0.0 else prob
-    # the smaller rounded operator, Delta_0, is the one held while the other is built
-    delta_0 = build_delta0(work, round_tol=config.delta_round_tol)
-    delta_m = build_delta_i(work, work.m, round_tol=config.delta_round_tol)
-    state = make_state(work, delta_m, delta_0, config)
-    m = work.m
+    state = make_state(prob, target, config)
+    delta_m, delta_0 = state.envs.ops
+    m = prob.m
     records: list[StepRecord] = []
     last_progress_sweep = 0
     stop_reason = "sweep_cap"

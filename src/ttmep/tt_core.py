@@ -51,6 +51,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a bool, string or null entry or ragged rows raise."""
+    entries = np.array(value, dtype=object)
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entries.flat):
+        raise ValueError(f"{name} must be an array of numbers with rows of equal length")
+    return entries.astype(float)
+
+
 # ---------------------------------------------------------------------------
 # containers
 
@@ -526,7 +534,7 @@ def tt_from_json(doc: dict) -> TTVector | TTOperator:
         raise ValueError("mode sizes and ranks must be positive")
     shapes = _core_shapes(kind, sizes, ranks)
     cores = [
-        np.asarray(flat, dtype=np.float64).reshape(shape)
-        for flat, shape in zip(doc["cores"], shapes)
+        _real_array(flat, f"core {k + 1}").reshape(shape)
+        for k, (flat, shape) in enumerate(zip(doc["cores"], shapes))
     ]
     return TTVector(cores) if kind == "tt-vector" else TTOperator(cores)

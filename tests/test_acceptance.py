@@ -213,14 +213,11 @@ def test_criterion_05_residual_estimate_dominance():
     from ttmep.solver import estimate_residual
 
     g = generate_random_mep(3, 4, seed=55)
-    delta_m = build_delta_i(g.problem, 3, round_tol=None)
-    delta_0 = build_delta0(g.problem, round_tol=None)
-    dm = densify_operator(delta_m)
-    d0 = densify_operator(delta_0)
     checked = 0
     for frame_seed in range(5):
-        config = SolverConfig(block_size=2, seed=frame_seed)
-        state = make_state(g.problem, delta_m, delta_0, config)
+        config = SolverConfig(block_size=2, seed=frame_seed, delta_round_tol=None)
+        state = make_state(g.problem, 0.0, config)
+        dm, d0 = (densify_operator(op) for op in state.envs.ops)
         k = state.k
         fd = densify_frame(state.cores, k)
         rl, n_k, _, rr = state.cores[k].shape
@@ -300,10 +297,8 @@ def test_criterion_08_property_suite():
     g = generate_random_mep(3, 3, seed=88)
     shifted, _ = _exterior_setup(3, 0)
     work = shifted.problem
-    delta_m = build_delta_i(work, 3, round_tol=1e-13)
-    delta_0 = build_delta0(work, round_tol=1e-13)
     config = SolverConfig(block_size=3, seed=8)
-    state = make_state(work, delta_m, delta_0, config)
+    state = make_state(work, 0.0, config)
     worst_gram = 0.0
     for _sweep in range(2):
         for direction, modes in ((+1, range(2)), (-1, range(2, 0, -1))):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ttmep.cli import _build_parser, main
+from ttmep.cli import _build_parser, _lambda_m_min, main
 from ttmep.dense_kernels import SingularPencilError
 from ttmep.mep_problem import (
     SingularRayleighError,
@@ -369,6 +369,30 @@ def test_solve_non_finite_problem_exits_2(tmp_path, bad):
     assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_bench_shift_enumerates_a_small_problem():
+    # 64 multi-indices: sampling 64 of them with replacement misses about a third
+    g = generate_random_mep(3, 4, seed=0)
+    tuples, skipped = oracle_eigenvalues(g, 4**3, target=0.0)
+    assert skipped == 0
+    assert _lambda_m_min(g, seed=0) == min(t.lam[-1].real for t in tuples)
+
+
+def test_bench_hands_the_unshifted_problem_and_its_target_to_solve(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(prob, target, config):
+        calls.append((prob, target, config.delta_round_tol))
+        return [], {"steps": []}
+
+    monkeypatch.setattr("ttmep.cli.solve", recording)
+    assert main(["bench", "--m-range", "3:3", "--n", "4", "--out", str(tmp_path / "b.csv")]) == 0
+    g = generate_random_mep(3, 4, seed=0)
+    assert [c[2] for c in calls] == [None, SolverConfig().delta_round_tol]
+    for prob, target, _ in calls:
+        assert problem_to_json(prob) == problem_to_json(g.problem)
+        assert target == _lambda_m_min(g, seed=0) - 1.0 != 0.0
+
+
 @pytest.mark.parametrize("flag", [
     ["--sweeps", "0"], ["--kick", "-3"],
     ["--eps1", "nan"], ["--xi", "nan"], ["--xi", "inf"], ["--eps", "nan"], ["--eps", "inf"],
@@ -513,6 +537,16 @@ def test_a_directory_for_a_file_exits_2(tmp_path, small_problem, capsys, command
     assert "invalid input" in capsys.readouterr().err
 
 
+# a row of each matrix or spectrum, and the name a message gives its part
+ENTRY_ROWS = {
+    "A_1": ("A_1", lambda doc: doc["A"][0][1]),
+    "B_12": ("B_12", lambda doc: doc["B"][0][1][2]),
+    "generator-a": ("generator spectrum_a", lambda doc: doc["generator"]["a"][1]),
+    "generator-b": ("generator spectrum_b", lambda doc: doc["generator"]["b"][0][1]),
+}
+NON_NUMBERS = {"string": "1.5", "bool": True, "null": None}
+
+
 def _malformed_problem_documents() -> dict:
     base = problem_to_json(generate_random_mep(2, 3, seed=0))
 
@@ -540,7 +574,19 @@ def _malformed_problem_documents() -> dict:
     unequal["sizes"] = [3, 4]
     unequal["A"][1] = np.eye(4).tolist()
     unequal["B"][1] = [np.eye(4).tolist()] * 2
+    entries = {}  # one matrix or spectrum entry that is not a number
+    for name, (_, row) in ENTRY_ROWS.items():
+        for kind, value in NON_NUMBERS.items():
+            doc = copy()
+            row(doc)[0] = value
+            entries[f"{name}-{kind}-entry"] = doc
+    ragged_a, ragged_b12 = copy(), copy()
+    ragged_a["A"][0][1].pop()
+    ragged_b12["B"][0][1].append(1.0)
     return {
+        **entries,
+        "A_1-ragged": ragged_a,
+        "B_12-ragged": ragged_b12,
         "list": [base],
         "m-null": {**copy(), "m": None},
         "sizes-number": {**copy(), "sizes": 3},
@@ -575,6 +621,10 @@ NAMED_PART = {
     "generator-a-numbers": "generator spectrum_a",
     "generator-spectra-length-1": "generator spectrum_a",
     "generator-b-ragged": "generator spectrum_b",
+    **{f"{name}-{kind}-entry": f"{label} must be an array of numbers"
+       for name, (label, _) in ENTRY_ROWS.items() for kind in NON_NUMBERS},
+    "A_1-ragged": "A_1 must be an array of numbers",
+    "B_12-ragged": "B_12 must be an array of numbers",
     "generator-a-nan": "generator spectrum_a has non-finite entries",
     "sizes-fraction": "sizes entry must be an integer",
     "m-fraction": "m must be an integer",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ttmep.mep_problem import (
     generate_random_mep,
     left_eigenvector_tuple,
     oracle_eigenvalues,
+    problem_to_json,
     screen_denominator,
 )
 from ttmep.solver import (
@@ -163,12 +165,8 @@ def test_estimate_residual_small_for_exact_eigenpair():
 def test_estimate_residual_dominance_random_pairs():
     rng = np.random.default_rng(6)
     g = generate_random_mep(3, 4, seed=6)
-    delta_m = build_delta_i(g.problem, 3, round_tol=None)
-    delta_0 = build_delta0(g.problem, round_tol=None)
-    dm = densify_operator(delta_m)
-    d0 = densify_operator(delta_0)
-    config = SolverConfig(block_size=2, seed=0)
-    state = make_state(g.problem, delta_m, delta_0, config)
+    state = make_state(g.problem, 0.0, SolverConfig(block_size=2, seed=0, delta_round_tol=None))
+    dm, d0 = (densify_operator(op) for op in state.envs.ops)
     k = state.k
     fd = densify_frame(state.cores, k)
     rl = state.cores[k].shape[0]
@@ -184,10 +182,7 @@ def test_estimate_residual_dominance_random_pairs():
 
 def test_estimate_residual_rejects_zero_vector():
     g = generate_random_mep(2, 3, seed=7)
-    delta_m = build_delta_i(g.problem, 2, round_tol=None)
-    delta_0 = build_delta0(g.problem, round_tol=None)
-    config = SolverConfig(block_size=1, seed=0)
-    state = make_state(g.problem, delta_m, delta_0, config)
+    state = make_state(g.problem, 0.0, SolverConfig(block_size=1, seed=0, delta_round_tol=None))
     k = state.k
     shape = (
         state.cores[k].shape[0],
@@ -200,9 +195,7 @@ def test_estimate_residual_rejects_zero_vector():
 
 def test_estimate_residual_rejects_a_hop_past_the_boundary():
     g = generate_random_mep(2, 3, seed=7)
-    delta_m = build_delta_i(g.problem, 2, round_tol=None)
-    delta_0 = build_delta0(g.problem, round_tol=None)
-    state = make_state(g.problem, delta_m, delta_0, SolverConfig(block_size=1, seed=0))
+    state = make_state(g.problem, 0.0, SolverConfig(block_size=1, seed=0, delta_round_tol=None))
     core = state.cores[state.k]
     assert state.k == 0
     coeff = np.ones((core.shape[0], core.shape[1], core.shape[3]))
@@ -288,10 +281,8 @@ def test_admitted_tuple_carries_its_screen_denominator():
 
 def test_check_convergence_aborts_on_large_projected_residual():
     g = generate_random_mep(3, 4, seed=9)
-    delta_m = build_delta_i(g.problem, 3, round_tol=None)
-    delta_0 = build_delta0(g.problem, round_tol=None)
-    config = SolverConfig(block_size=2, seed=0)
-    state = make_state(g.problem, delta_m, delta_0, config)
+    config = SolverConfig(block_size=2, seed=0, delta_round_tol=None)
+    state = make_state(g.problem, 0.0, config)
     k = state.k
     rl = state.cores[k].shape[0]
     rr = state.cores[k].shape[3]
@@ -514,9 +505,7 @@ def test_sweep_step_calls_its_kernels_through_the_solver_namespace(monkeypatch):
         monkeypatch.setattr(solver_module, name, counted)
     g = generate_random_mep(3, 3, seed=16)
     work, _, _ = shifted_positive(g)
-    delta_m = build_delta_i(work, 3, round_tol=None)
-    delta_0 = build_delta0(work, round_tol=None)
-    state = make_state(work, delta_m, delta_0, SolverConfig(block_size=2, seed=3))
+    state = make_state(work, 0.0, SolverConfig(block_size=2, seed=3, delta_round_tol=None))
     rec = sweep_step(state, +1)
     assert rec.n_candidates > 0
     assert calls == {
@@ -533,10 +522,7 @@ def test_sweep_step_calls_its_kernels_through_the_solver_namespace(monkeypatch):
 def test_sweep_step_reports_projected_size_and_moves_block():
     g = generate_random_mep(3, 3, seed=16)
     work, _, _ = shifted_positive(g)
-    delta_m = build_delta_i(work, 3, round_tol=None)
-    delta_0 = build_delta0(work, round_tol=None)
-    config = SolverConfig(block_size=2, seed=3)
-    state = make_state(work, delta_m, delta_0, config)
+    state = make_state(work, 0.0, SolverConfig(block_size=2, seed=3, delta_round_tol=None))
     k = state.k
     expected = (
         state.cores[k].shape[0]
@@ -571,10 +557,8 @@ def test_sweep_step_finds_planted_eigenpair_in_one_step():
 def test_full_sweep_keeps_frames_orthonormal():
     g = generate_random_mep(3, 3, seed=18)
     work, _, _ = shifted_positive(g)
-    delta_m = build_delta_i(work, 3, round_tol=1e-13)
-    delta_0 = build_delta0(work, round_tol=1e-13)
     config = SolverConfig(block_size=2, seed=4)
-    state = make_state(work, delta_m, delta_0, config)
+    state = make_state(work, 0.0, config)
     size_cap = (config.max_rank + config.kick) ** 2 * max(work.sizes)
     for direction, modes in ((+1, range(2)), (-1, range(2, 0, -1))):
         state.estimates.clear()
@@ -591,7 +575,7 @@ def test_rank_one_factors_are_taken_only_where_read(monkeypatch):
     # walk that reaches TRQI, and one per selected pair for the next step
     g = generate_random_mep(3, 3, seed=0)
     work, _, _ = shifted_positive(g)
-    state = make_state(work, build_delta_i(work, 3), build_delta0(work), SolverConfig(block_size=2))
+    state = make_state(work, 0.0, SolverConfig(block_size=2))
     calls = []
 
     def counting(tensor):
@@ -613,12 +597,37 @@ def test_rank_one_factors_are_taken_only_where_read(monkeypatch):
     assert any(r.n_candidates > r.outcomes["aborted"] for r in records)
 
 
-def test_make_state_rejects_a_one_parameter_problem():
+def test_make_state_refuses_bad_input_before_any_build(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr("ttmep.solver.build_delta0", no_build)
+    monkeypatch.setattr("ttmep.solver.build_delta_i", no_build)
     g = generate_random_mep(2, 3, seed=0)
     one = MEProblem(a=g.problem.a[:1], b=[g.problem.b[0][:1]])
-    ops = build_delta_i(one, 1, round_tol=None), build_delta0(one, round_tol=None)
     with pytest.raises(ValueError, match="m >= 2"):
-        make_state(one, *ops, SolverConfig(sweeps=1))
+        make_state(one, 0.0, SolverConfig(sweeps=1))
+    for target in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="target must be finite"):
+            make_state(g.problem, target, SolverConfig(sweeps=1))
+
+
+def test_make_state_builds_at_the_config_tolerance():
+    # unrounded, Delta_m and Delta_0 keep their exact bond ranks C(m, k)
+    g = generate_random_mep(4, 3, seed=2)
+    state = make_state(g.problem, 0.0, SolverConfig(delta_round_tol=None))
+    for op in state.envs.ops:
+        assert list(op.ranks) == [math.comb(4, k) for k in range(5)]
+    rounded = make_state(g.problem, 0.0, SolverConfig())
+    for op, want in zip(rounded.envs.ops, (build_delta_i(g.problem, 4), build_delta0(g.problem))):
+        assert all(np.array_equal(a, b) for a, b in zip(op.cores, want.cores))
+
+
+def test_make_state_holds_the_problem_shifted_by_the_target():
+    g = generate_random_mep(3, 3, seed=1)
+    state = make_state(g.problem, 0.75, SolverConfig(block_size=2))
+    assert problem_to_json(state.prob) == problem_to_json(apply_shift(g.problem, -0.75))
+    assert make_state(g.problem, 0.0, SolverConfig(block_size=2)).prob is g.problem
 
 
 # ---------------------------------------------------------------------------

@@ -814,6 +814,22 @@ def test_json_counts_must_be_numbers():
     assert tt_from_json(np_doc).mode_sizes == (2, 2, 2)
 
 
+def test_json_cores_must_be_numbers():
+    rng = np.random.default_rng(29)
+    doc = tt_to_json(random_tt(rng, (2, 2, 2), (1, 2, 2, 1)))
+    for value in ("1.5", True, None, [1.0]):
+        cores = [list(c) for c in doc["cores"]]
+        cores[1][3] = value
+        with pytest.raises(ValueError, match="^core 2 must be an array of numbers"):
+            tt_from_json({**doc, "cores": cores})
+    # integers and numpy floats are numbers too
+    cores = [[int(x > 0) for x in doc["cores"][0]], *doc["cores"][1:]]
+    assert tt_from_json({**doc, "cores": cores}).cores[0].dtype == np.float64
+    np_doc = {**doc, "cores": [np.asarray(c) for c in doc["cores"]]}
+    assert all(np.array_equal(a, b) for a, b in
+               zip(tt_from_json(np_doc).cores, tt_from_json(doc).cores))
+
+
 def test_invalid_shapes_rejected():
     with pytest.raises(ValueError):
         TTVector([np.ones((2, 2, 1))])
