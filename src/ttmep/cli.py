@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .dense_kernels import RITZ_RULES
 from .mep_problem import (
     GeneratedProblem,
     generate_random_mep,
@@ -101,12 +100,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                           type=float, help="operator rounding tolerance")
     rounding.add_argument("--no-round", dest="delta_round_tol", action="store_const",
                           const=None, help="skip operator rounding")
-    p.add_argument("--ritz-rule", choices=RITZ_RULES)
     p.add_argument("--seed", type=int)
 
 
-# multi-indices ``bench`` enumerates, or else samples, to place its exterior target
-SHIFT_SAMPLES = 20_000
+# most multi-indices ``bench`` enumerates for its target; above this it uses a bound
+SHIFT_ENUMERATION_CAP = 20_000
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -237,18 +235,27 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _lambda_m_min(g, seed: int) -> float:
-    """Min real lambda_m over every multi-index, or, when there are more than
-    ``SHIFT_SAMPLES``, over that many random ones: enough to place an
-    exteriorizing target when full enumeration (n^m systems) is out of reach.
-    """
+def _lambda_m_min(g) -> float:
+    """Min real lambda_m over every multi-index, or, above
+    ``SHIFT_ENUMERATION_CAP`` of them, a lower bound on it. A generated
+    system's row i is [1, x_i, ..., x_i^(m-1)], x_i = ``spectrum_b[i, 1, k_i]``,
+    so lambda_m = sum_i a_i / prod_{j!=i} (x_i - x_j); with ordered, disjoint
+    node sets that product has sign (-1)^(m-1-i) and lies between the
+    products of x_i's nearest and farthest distances to the other sets, and
+    the bound sums each term's least value at those ends over every x_i."""
     m, n = g.m, g.n
-    if n**m <= SHIFT_SAMPLES:
+    if n**m <= SHIFT_ENUMERATION_CAP:
         idx = np.indices((n,) * m).reshape(m, -1).T
-    else:
-        idx = np.random.default_rng(seed).integers(0, n, size=(SHIFT_SAMPLES, m))
-    lam, ok = index_eigenvalues(g, idx)
-    return float(lam[ok, m - 1].real.min())
+        lam, ok = index_eigenvalues(g, idx)
+        return float(lam[ok, m - 1].real.min())
+    x = g.spectrum_b[:, 1, :]
+    if not np.all(x.max(axis=1)[:-1] < x.min(axis=1)[1:]):
+        raise ValueError("the bench target bound needs ordered, disjoint node sets")
+    dist = np.abs(x[:, :, None, None] - x[None, None, :, :])  # (i, k_i, j, k_j)
+    other = ~np.eye(m, dtype=bool)[:, None, :]
+    near, far = (np.prod(end(dist, axis=3), axis=2, where=other) for end in (np.min, np.max))
+    num = (-1.0) ** (m - 1 - np.arange(m))[:, None] * g.spectrum_a
+    return float(np.minimum(num / near, num / far).min(axis=1).sum())
 
 
 def _bench_range(flag: str, text: str, stepped: bool) -> range:
@@ -279,7 +286,7 @@ def cmd_bench(args) -> int:
     for label, value, m, n in params:
         g = generate_random_mep(m, n, args.seed)
         # a target below every lambda_m is exterior
-        target = _lambda_m_min(g, seed=args.seed) - 1.0
+        target = _lambda_m_min(g) - 1.0
         projection = {}
         for rounded, run_config in runs:
             t0 = time.perf_counter()

@@ -25,7 +25,6 @@ class SingularPencilError(np.linalg.LinAlgError):
     """Both matrices of a pencil are numerically rank-deficient together."""
 
 
-RITZ_RULES = ("positive-real-part", "positive-imag-part")
 # |beta| at or below this fraction of ||N|| marks an infinite eigenvalue
 BETA_FLOOR = 1e-14
 
@@ -132,24 +131,20 @@ def generalized_eig(
     )
 
 
-def select_ritz(
-    result: GeneralizedEigenResult,
-    count: int,
-    rule: str = RITZ_RULES[0],
-) -> tuple[list[int], bool]:
-    """Indices of ``count`` finite eigenvalues, smallest modulus first.
+def select_ritz(result: GeneralizedEigenResult, count: int) -> tuple[list[int], bool]:
+    """Indices of ``count`` finite eigenvalues with positive real part,
+    smallest modulus first.
 
-    Eligible values must have positive real (or imaginary, per ``rule``)
-    part; ties are broken by real then imaginary part so the ordering is
-    deterministic. When fewer than ``count`` qualify the selection is padded
-    with the smallest-modulus remaining finite values and the flag is set.
+    The solver shifts its target to 0, and an exterior target lies below
+    every lambda_m, so the wanted values have positive real part; an
+    interior target therefore sees the values above it only. Ties are
+    broken by real then imaginary part so the ordering is deterministic.
+    When fewer than ``count`` qualify the selection is padded with the
+    smallest-modulus remaining finite values and the flag is set.
     """
-    if rule not in RITZ_RULES:
-        raise ValueError(f"unknown rule {rule!r}")
     lam = result.eigenvalues
     finite = np.nonzero(result.finite)[0]
-    part = np.real if rule == RITZ_RULES[0] else np.imag
-    eligible = part(lam[finite]) > 0
+    eligible = lam[finite].real > 0
 
     def sort_key(i):
         return (abs(lam[i]), lam[i].real, lam[i].imag)

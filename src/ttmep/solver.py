@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dense_kernels import RITZ_RULES, generalized_eig, principal_cosine, select_ritz
+from .dense_kernels import generalized_eig, principal_cosine, select_ritz
 from .delta_builder import DELTA_ROUND_TOL, apply_shift, build_delta0, build_delta_i
 from .mep_problem import (
     EigenTuple,
@@ -68,7 +68,6 @@ class SolverConfig:
     cos_threshold: float = 0.99
     delta_round_tol: float | None = DELTA_ROUND_TOL  # None skips operator rounding
     seed: int = 0
-    ritz_rule: str = RITZ_RULES[0]
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -90,8 +89,6 @@ class SolverConfig:
             raise ValueError("rounding tolerance must be non-negative and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.ritz_rule not in RITZ_RULES:
-            raise ValueError(f"unknown Ritz rule {self.ritz_rule!r}")
 
 
 @dataclass
@@ -359,12 +356,12 @@ def make_state(prob: MEProblem, target: float, config: SolverConfig) -> SweepSta
     return SweepState(prob=work, config=config, cores=cores, k=0, envs=envs, rng=rng)
 
 
-def ritz_pairs(pm: np.ndarray, p0: np.ndarray, count: int, rule: str):
+def ritz_pairs(pm: np.ndarray, p0: np.ndarray, count: int):
     """Ritz pairs of the pencil (pm, p0), factored in place: returns a generator
     of ``select_ritz``'s (mu, unit vector) pairs, each vector built when drawn
     (after the caller has dropped the pencil), and ``select_ritz``'s ``padded``."""
     geig = generalized_eig(pm, p0, overwrite=True)
-    indices, padded = select_ritz(geig, count, rule)
+    indices, padded = select_ritz(geig, count)
     vectors = ((i, geig.vector(i)) for i in indices)
     # vector(i) is unit already; dividing again moves the last bits, and the
     # solve's trajectory depends on them
@@ -387,7 +384,7 @@ def sweep_step(state: SweepState, direction: int) -> StepRecord:
     t_proj = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pairs, padded = ritz_pairs(pm, p0, 2 * b + len(state.found), config.ritz_rule)
+    pairs, padded = ritz_pairs(pm, p0, 2 * b + len(state.found))
     del pm, p0  # factored in place; the vectors are built only after this
     t_eig = time.perf_counter() - t0
 

@@ -7,11 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from ttmep.cli import _build_parser, _lambda_m_min, main
+from ttmep.cli import SHIFT_ENUMERATION_CAP, _build_parser, _lambda_m_min, main
 from ttmep.dense_kernels import SingularPencilError
 from ttmep.mep_problem import (
     SingularRayleighError,
     generate_random_mep,
+    index_eigenvalues,
     oracle_eigenvalues,
     problem_to_json,
     save_problem,
@@ -127,8 +128,6 @@ def test_solve_records_config_overrides(tmp_path, small_problem):
                 "--sweeps",
                 "2",
                 "--no-round",
-                "--ritz-rule",
-                "positive-imag-part",
                 "--out",
                 str(out),
             ]
@@ -138,7 +137,15 @@ def test_solve_records_config_overrides(tmp_path, small_problem):
     report = json.loads(out.read_text())
     assert report["config"]["sweeps"] == 2
     assert report["config"]["delta_round_tol"] is None
-    assert report["config"]["ritz_rule"] == "positive-imag-part"
+
+
+def test_solve_has_no_selection_rule_flag(tmp_path, small_problem):
+    # positive real part, after the shift to the target, is the only rule
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(small_problem), "--out", str(tmp_path / "o"),
+              "--ritz-rule", "positive-real-part"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_every_config_field_has_a_solve_flag():
@@ -146,7 +153,7 @@ def test_every_config_field_has_a_solve_flag():
     # so a field no caller can set fails here
     flags = ["--b", "3", "--sweeps", "2", "--kick", "0", "--max-rank", "4",
              "--eps", "1e-5", "--eps1", "1e-7", "--xi", "1e-3", "--cos-threshold", "0.9",
-             "--round-tol", "1e-3", "--ritz-rule", "positive-imag-part", "--seed", "1"]
+             "--round-tol", "1e-3", "--seed", "1"]
     args = _build_parser().parse_args(["solve", "p.json", "--out", "o", *flags])
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert fields <= set(vars(args))
@@ -370,11 +377,28 @@ def test_solve_non_finite_problem_exits_2(tmp_path, bad):
 
 
 def test_bench_shift_enumerates_a_small_problem():
-    # 64 multi-indices: sampling 64 of them with replacement misses about a third
+    # 64 multi-indices, under the enumeration cap: the minimum itself
     g = generate_random_mep(3, 4, seed=0)
     tuples, skipped = oracle_eigenvalues(g, 4**3, target=0.0)
     assert skipped == 0
-    assert _lambda_m_min(g, seed=0) == min(t.lam[-1].real for t in tuples)
+    assert _lambda_m_min(g) == min(t.lam[-1].real for t in tuples)
+
+
+@pytest.mark.parametrize("m, n, seed", [(5, 10, 0), (5, 10, 1), (5, 8, 2), (6, 6, 0), (4, 12, 1)])
+def test_bench_shift_bound_lies_below_every_lambda_m(m, n, seed):
+    # above the enumeration cap the target comes from a bound, checked here
+    # against every multi-index
+    assert n**m > SHIFT_ENUMERATION_CAP
+    g = generate_random_mep(m, n, seed)
+    lam, ok = index_eigenvalues(g, np.indices((n,) * m).reshape(m, -1).T)
+    assert _lambda_m_min(g) <= lam[ok, m - 1].real.min()
+
+
+def test_bench_shift_bound_refuses_overlapping_node_sets():
+    g = generate_random_mep(5, 8, seed=0)
+    g.spectrum_b[0, 1, 0] = g.spectrum_b[1, 1].max()
+    with pytest.raises(ValueError, match="ordered, disjoint"):
+        _lambda_m_min(g)
 
 
 def test_bench_hands_the_unshifted_problem_and_its_target_to_solve(tmp_path, monkeypatch):
@@ -390,7 +414,7 @@ def test_bench_hands_the_unshifted_problem_and_its_target_to_solve(tmp_path, mon
     assert [c[2] for c in calls] == [None, SolverConfig().delta_round_tol]
     for prob, target, _ in calls:
         assert problem_to_json(prob) == problem_to_json(g.problem)
-        assert target == _lambda_m_min(g, seed=0) - 1.0 != 0.0
+        assert target == _lambda_m_min(g) - 1.0 != 0.0
 
 
 @pytest.mark.parametrize("flag", [

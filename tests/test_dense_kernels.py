@@ -8,7 +8,6 @@ import scipy.linalg as sla
 
 from ttmep.dense_kernels import (
     BETA_FLOOR,
-    RITZ_RULES,
     GeneralizedEigenResult,
     SingularPencilError,
     _frobenius,
@@ -182,12 +181,6 @@ def test_select_ritz_pads_when_rule_starves():
     assert [res.eigenvalues[i] for i in picked] == [-0.5, -1.0]
 
 
-def test_select_ritz_imag_rule():
-    res = _result([1 - 2j, 1 + 2j, 5.0])
-    picked, _ = select_ritz(res, 1, rule="positive-imag-part")
-    assert res.eigenvalues[picked[0]] == 1 + 2j
-
-
 def test_select_ritz_skips_infinite():
     lam = np.array([np.inf, 2.0, 1.0], dtype=complex)
     res = GeneralizedEigenResult(
@@ -199,7 +192,7 @@ def test_select_ritz_skips_infinite():
     assert 0 not in picked
 
 
-def _two_pass_select_ritz(result, count, rule):
+def _two_pass_select_ritz(result, count):
     """The selection rule in two passes: the eligible values sorted, then, to
     pad, a second scan over every finite index not yet taken."""
     lam = result.eigenvalues
@@ -208,8 +201,7 @@ def _two_pass_select_ritz(result, count, rule):
     def sort_key(i):
         return (abs(lam[i]), lam[i].real, lam[i].imag)
 
-    part = np.real if rule == RITZ_RULES[0] else np.imag
-    eligible = sorted((i for i in finite if part(lam[i]) > 0), key=sort_key)
+    eligible = sorted((i for i in finite if lam[i].real > 0), key=sort_key)
     chosen = eligible[:count]
     padded = False
     if len(chosen) < count:
@@ -220,10 +212,8 @@ def _two_pass_select_ritz(result, count, rule):
     return chosen, padded
 
 
-@pytest.mark.parametrize("rule", RITZ_RULES)
-def test_select_ritz_equals_the_two_pass_reference(rule):
+def test_select_ritz_equals_the_two_pass_reference():
     rng = np.random.default_rng(21)
-    part = np.real if rule == RITZ_RULES[0] else np.imag
     seen_padded = set()
     for _ in range(200):
         # an integer grid gives equal moduli (1+2j, 2-1j) and repeated values
@@ -236,10 +226,10 @@ def test_select_ritz_equals_the_two_pass_reference(rule):
         res = GeneralizedEigenResult(
             eigenvalues=lam, finite=finite, lapack_right=np.eye(lam.size)
         )
-        n_eligible = int(np.count_nonzero(part(lam[finite]) > 0))
+        n_eligible = int(np.count_nonzero(lam[finite].real > 0))
         for count in (max(n_eligible - 1, 0), n_eligible, n_eligible + 1, lam.size + 1):
-            got = select_ritz(res, count, rule)
-            assert got == _two_pass_select_ritz(res, count, rule)
+            got = select_ritz(res, count)
+            assert got == _two_pass_select_ritz(res, count)
             seen_padded.add(got[1])
     assert seen_padded == {False, True}
 

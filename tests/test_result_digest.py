@@ -32,8 +32,8 @@ def test_oracle_digest_only_on_the_enumerable_workloads(monkeypatch):
     # the digests of the solve are not under test here: stub what they run
     monkeypatch.setattr("ttmep.solver.solve", lambda *a, **k: ([], {"steps": [], "sweeps_run": 0}))
     no_cores = SimpleNamespace(cores=[])
-    monkeypatch.setattr("ttmep.delta_builder.build_delta_i", lambda *a, **k: no_cores)
-    monkeypatch.setattr("ttmep.delta_builder.build_delta0", lambda *a, **k: no_cores)
+    no_state = SimpleNamespace(envs=SimpleNamespace(ops=(no_cores, no_cores)))
+    monkeypatch.setattr("ttmep.solver.make_state", lambda *a, **k: no_state)
     assert {w.enumerable for w in WORKLOADS.values()} == {True, False}
     for w in WORKLOADS.values():
         line = digest_workload(w, 0)

@@ -10,7 +10,6 @@ import pytest
 from ttmep import solver as solver_module
 from ttmep.delta_builder import apply_shift, build_delta0, build_delta_i
 from ttmep.dense_kernels import (
-    RITZ_RULES,
     GeneralizedEigenResult,
     generalized_eig,
     select_ritz,
@@ -445,10 +444,10 @@ def _ritz_pencils():
     }
 
 
-def _spelled_out_ritz(pm, p0, count, rule):
+def _spelled_out_ritz(pm, p0, count):
     """generalized_eig, select_ritz, vector(i) and one more division."""
     geig = generalized_eig(pm, p0, overwrite=True)
-    indices, padded = select_ritz(geig, count, rule)
+    indices, padded = select_ritz(geig, count)
     pairs = []
     for i in indices:
         vec = geig.vector(i)
@@ -459,10 +458,8 @@ def _spelled_out_ritz(pm, p0, count, rule):
 @pytest.mark.parametrize("case", ["complex-pairs", "infinite", "starved"])
 def test_ritz_pairs_equal_the_spelled_out_eigensolve(case):
     m, n, count = _ritz_pencils()[case]
-    want, want_padded, finite = _spelled_out_ritz(
-        np.asfortranarray(m), np.asfortranarray(n), count, RITZ_RULES[0]
-    )
-    pairs, padded = ritz_pairs(np.asfortranarray(m), np.asfortranarray(n), count, RITZ_RULES[0])
+    want, want_padded, finite = _spelled_out_ritz(np.asfortranarray(m), np.asfortranarray(n), count)
+    pairs, padded = ritz_pairs(np.asfortranarray(m), np.asfortranarray(n), count)
     got = list(pairs)
     assert padded == want_padded
     assert [mu for mu, _ in got] == [mu for mu, _ in want]
@@ -487,7 +484,7 @@ def test_ritz_pairs_build_each_vector_when_drawn(monkeypatch):
 
     monkeypatch.setattr(GeneralizedEigenResult, "vector", counted)
     m, n, count = _ritz_pencils()["complex-pairs"]
-    pairs, _ = ritz_pairs(np.asfortranarray(m), np.asfortranarray(n), count, RITZ_RULES[0])
+    pairs, _ = ritz_pairs(np.asfortranarray(m), np.asfortranarray(n), count)
     assert built == []
     next(pairs)
     assert len(built) == 1
@@ -739,7 +736,7 @@ def test_config_validation():
     nan, inf = float("nan"), float("inf")
     for bad in ({"eps1": nan}, {"xi": nan}, {"xi": inf}, {"eps": nan}, {"eps": inf},
                 {"delta_round_tol": -1.0}, {"delta_round_tol": nan},
-                {"delta_round_tol": inf}, {"seed": -1}, {"ritz_rule": "bogus"}):
+                {"delta_round_tol": inf}, {"seed": -1}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(delta_round_tol=None).delta_round_tol is None

@@ -13,7 +13,8 @@ solves and prints one JSON line per solver seed with the SHA-256 digests
 of:
 
 - ``delta_m`` and ``delta_0``: the bytes of every rounded Delta_m and
-  Delta_0 core, with their shapes and dtypes;
+  Delta_0 core, with their shapes and dtypes, as the solver's own set-up
+  (``make_state``) builds them;
 - ``tuples``: the returned tuples (lambda, right and left vectors,
   residual norm, flags), in the order ``solve`` returns them;
 - ``steps``: the report steps without their timings ``wall_ms`` and
@@ -104,20 +105,15 @@ def workload_problem(w):
 
 
 def digest_workload(w, solver_seed: int) -> dict:
-    from ttmep.delta_builder import build_delta0, build_delta_i
     from ttmep.mep_problem import generate_random_mep, oracle_eigenvalues
-    from ttmep.solver import SolverConfig, solve
+    from ttmep.solver import SolverConfig, make_state, solve
     from workloads import PROBLEM_SEED
 
     prob, _ = workload_problem(w)
     g = generate_random_mep(w.m, w.n, seed=PROBLEM_SEED)
     config = SolverConfig(sweeps=w.sweeps, seed=solver_seed)
-    out = {
-        "workload": w.name,
-        "solver_seed": solver_seed,
-        "delta_m": operator_digest(build_delta_i(prob, prob.m, round_tol=config.delta_round_tol)),
-        "delta_0": operator_digest(build_delta0(prob, round_tol=config.delta_round_tol)),
-    }
+    delta_m, delta_0 = (operator_digest(op) for op in make_state(prob, 0.0, config).envs.ops)
+    out = {"workload": w.name, "solver_seed": solver_seed, "delta_m": delta_m, "delta_0": delta_0}
     tuples, report = solve(prob, target=0.0, config=config)
     out.update(
         tuples=tuples_digest(tuples),
